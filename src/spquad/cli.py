@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -427,6 +428,21 @@ def main(argv=None) -> int:
             ap.error("solve needs --to (or 'to' in --config)")
         if args.command == "check" and args.window is None:
             ap.error("check needs --window (or 'window' in --config)")
+        for name in ("t0", "to"):
+            if not math.isfinite(getattr(args, name, None) or 0.0):
+                ap.error(f"--{name} must be a finite number")
+        for name in ("x0", "window"):
+            text = getattr(args, name, None)
+            if text is None:
+                continue
+            try:
+                values = _floats(text)
+            except ValueError:
+                ap.error(f"--{name} must be comma-separated numbers")
+            if not all(map(math.isfinite, values)):
+                ap.error(f"--{name} must hold finite numbers")
+            if name == "window" and len(values) != 2:
+                ap.error("--window must be two numbers a,b")
         return args.func(args)
     except _PARSE_ERRORS as exc:
         span = getattr(exc, "span", None)

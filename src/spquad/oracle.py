@@ -2,7 +2,7 @@
 
 Deliberately shares no machinery with the series engine so the two can
 cross-check each other.  Accepts both monomial systems and quadratic frames
-as right-hand sides; constant frames route through the compiled kernel.
+as right-hand sides; constant frames take a loop over the matrix directly.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import Blowup, EmptyWindow
 from .quadratize import QuadraticFrame
 from .sigmapi import SigmaPiOde
@@ -54,6 +53,29 @@ def _steps(t0: float, t1: float, h: float) -> tuple[int, float, float]:
     return n, signed_h, landing
 
 
+def _rk4_frame(V, x0, n_steps, h, landing):
+    """RK4 states for dx_i/dt = (V x)_i x_i; ``ok`` is false (and the states
+    stop) once a state is non-finite."""
+    states = np.empty((n_steps + 1, len(x0)))
+    states[0] = x0
+    x = x0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            dt = landing if k == n_steps - 1 else h
+            k1 = (V @ x) * x
+            x2 = x + 0.5 * dt * k1
+            k2 = (V @ x2) * x2
+            x3 = x + 0.5 * dt * k2
+            k3 = (V @ x3) * x3
+            x4 = x + dt * k3
+            k4 = (V @ x4) * x4
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[k + 1] = x
+            if not np.all(np.isfinite(x)):
+                return states[:k + 2], False
+    return states, True
+
+
 def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical RK4 from t0 to t1 (either direction) with step h > 0.
 
@@ -75,7 +97,7 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
 
     if isinstance(rhs, QuadraticFrame) and rhs.is_stationary:
         V = rhs.constant_matrix()
-        states, ok = _kernels.rk4_frame(V, x0, t0, n, signed_h, landing)
+        states, ok = _rk4_frame(V, x0, n, signed_h, landing)
         if not ok:
             raise Blowup(f"state non-finite near t = {times[len(states) - 1]}")
         return Trajectory(times, states, {"h": h, "rhs": kind})

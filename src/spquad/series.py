@@ -1,7 +1,19 @@
 """Taylor-series solutions of homogeneous quadratic (driver-type) systems.
 
-For dx_i/dt = (v_i' x) x_i with frame V the series coefficients
-c_k(i) = x_i^{(k)}(t0) obey a recursion directly in the frame entries:
+For dx_i/dt = (v_i' x) x_i with frame V the coefficients are computed by the
+Cauchy-product (Parker-Sochacki) recursion on the normalized coefficients
+a_k = x^{(k)}(t0) / k! of the whole state:
+
+    a_0 = x0
+    (k+1) a_{k+1,i} = sum_{j<=k} y_{j,i} a_{k-j,i},   y_j = sum_{l<=j} W_l a_{j-l}
+
+where W_l = V^{(l)}(t0) / l! are the frame jets re-expanded at t0.  It costs
+O(K^2 m + K L m^2) for order K, dimension m and jet degree L, and serves
+constant and time-dependent frames alike.
+
+The paper's layered recursion gives the same coefficients directly in the
+frame entries and is kept for the :class:`CoefficientTensor` objects it
+builds (``keep_tensors=True``):
 
     c_0(i) = x_i
     c_k(i) = sum_{s=2}^{k+1} sum_tails  v^{k+1,s}_{i,tail}(t0) * x_i * prod(x_tail)
@@ -17,19 +29,14 @@ The append multiplier for a tail with multiset m and new index j is
 sum_l alpha_l(m + root) * v_{l,j}, a function of the multiset only, so
 ordered index strings are aggregated losslessly into multiset keys.  Tails
 range over the support set S (indices of nonzero frame columns) only:
-coefficients with a tail index outside S vanish identically.
-
-Constant frames collapse to a single-layer recursion (all mixed layers
-vanish) which runs over dense count vectors through the kernels in
-:mod:`spquad._kernels`.
+coefficients with a tail index outside S vanish identically.  Constant
+frames populate only the diagonal layers.
 
 Everything here uses 1-based component indices in public structures.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +44,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import _kernels
 from .errors import (Divergence, DomainExit, MixedCenters, NotStationary,
                      OrderBudget, OutOfRadius, StepLimit, ZeroComponent)
 from .jets import TimeJet
@@ -180,96 +186,42 @@ def _mset_from_counts(root: int, counts, cols: tuple[int, ...]) -> IndexMultiset
 
 
 # --------------------------------------------------------------------------
-# stationary engine (dense count vectors + kernels)
+# coefficient engine (Cauchy products of normalized series)
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _multiset_tables(sigma: int, K: int):
-    """Per-level count vectors and append-transition tables.
-
-    Level k enumerates the multisets of size k over sigma symbols in
-    lexicographic order; ``trans[k][r, j]`` is the level-(k+1) row of the
-    multiset counts[k][r] + e_j.
-    """
-    if math.comb(K + sigma, sigma) > 5_000_000:
-        raise ValueError(
-            f"order {K} with support size {sigma} needs too many multisets; "
-            "reduce the order")
-    counts_levels = []
-    rank_levels = []
-    for k in range(K + 1):
-        rows = [tuple(c.count(s) for s in range(sigma))
-                for c in itertools.combinations_with_replacement(range(sigma), k)]
-        counts_levels.append(np.array(rows, dtype=np.int64).reshape(len(rows), sigma))
-        rank_levels.append({row: r for r, row in enumerate(rows)})
-    trans_levels = []
-    for k in range(K):
-        counts = counts_levels[k]
-        nxt = rank_levels[k + 1]
-        trans = np.empty((counts.shape[0], sigma), dtype=np.int64)
-        for r in range(counts.shape[0]):
-            base = tuple(counts[r])
-            for j in range(sigma):
-                bumped = base[:j] + (base[j] + 1,) + base[j + 1:]
-                trans[r, j] = nxt[bumped]
-        trans_levels.append(trans)
-    return counts_levels, trans_levels
+def _shifted_jets(frame: QuadraticFrame, t0: float, K: int) -> np.ndarray:
+    """W[l] = V^{(l)}(t0) / l! for l < K, up to the jet degree."""
+    m = frame.dim
+    deg = max((e.order for row in frame.entries for e in row), default=0)
+    P = np.zeros((deg + 1, m, m))
+    for i, row in enumerate(frame.entries):
+        for j, e in enumerate(row):
+            P[:e.order + 1, i, j] = e.coeffs
+    # constant entries may carry their own center; it does not matter to them
+    u = float(t0) - frame.center
+    T = np.array([[math.comb(n, l) * u ** (n - l) if n >= l else 0.0
+                   for n in range(deg + 1)] for l in range(deg + 1)])
+    return np.einsum("ln,nij->lij", T, P)[:K]
 
 
-def taylor_stationary(frame: QuadraticFrame, x0, K: int,
-                      components: Iterable[int] | None = None,
-                      t0: float = 0.0,
-                      keep_tensors: bool = False) -> SeriesSolution:
-    """Series coefficients for a constant frame via the single-layer
-    recursion v^{k+1}(m + j) += v^k(m) * (sum_l alpha_l(m + root) v_{l,j})."""
-    if not frame.is_stationary:
-        raise NotStationary("frame has non-constant entries")
-    x0, comps = _check_inputs(frame, x0, K, components)
-    V = frame.constant_matrix()
-    cols, _ = support(frame)
-    sigma = len(cols)
-    coeffs = np.zeros((len(comps), K + 1))
-    coeffs[:, 0] = x0[[i - 1 for i in comps]]
-    tensors: dict[int, CoefficientTensor] = {}
-
-    if sigma == 0 or K == 0:
-        if keep_tensors:
-            for i in comps:
-                tensors[i] = CoefficientTensor(i, {})
-        return _finish(frame, x0, t0, K, comps, coeffs,
-                       tensors if keep_tensors else None)
-
-    counts_levels, trans_levels = _multiset_tables(sigma, K)
-    S0 = [j - 1 for j in cols]
-    Vss = np.ascontiguousarray(V[np.ix_(S0, S0)])
-    x_S = x0[S0]
-    pows = [np.prod(x_S ** counts_levels[k], axis=1) for k in range(K + 1)]
-
-    for r, i in enumerate(comps):
-        vroot = np.ascontiguousarray(V[i - 1, S0])
-        vals = np.ones(1)
-        layers: dict[tuple[int, int], dict[IndexMultiset, TimeJet]] = {}
-        for k in range(1, K + 1):
-            vals = _kernels.level_step(
-                vals, counts_levels[k - 1], trans_levels[k - 1], Vss, vroot)
-            with np.errstate(over="ignore", invalid="ignore"):
-                coeffs[r, k] = x0[i - 1] * float(vals @ pows[k])
-            if keep_tensors:
-                layer = {}
-                for row, v in enumerate(vals):
-                    if v != 0.0:
-                        key = _mset_from_counts(i, counts_levels[k][row], cols)
-                        layer[key] = TimeJet.constant(v, center=frame.center)
-                layers[(k + 1, k + 1)] = layer
-        if keep_tensors:
-            tensors[i] = CoefficientTensor(i, layers)
-
-    return _finish(frame, x0, t0, K, comps, coeffs,
-                   tensors if keep_tensors else None)
+def _cauchy(frame: QuadraticFrame, x0: np.ndarray, t0: float,
+            K: int) -> np.ndarray:
+    """Derivatives c[i, k] = x_i^{(k)}(t0) of every component."""
+    W = _shifted_jets(frame, t0, K)
+    a = np.zeros((K + 1, frame.dim))
+    y = np.zeros((K, frame.dim))
+    a[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            L = min(k + 1, len(W))
+            y[k] = np.einsum("lij,lj->i", W[:L], a[k::-1][:L])
+            a[k + 1] = np.einsum("ji,ji->i", y[:k + 1], a[k::-1]) / (k + 1)
+        fact = np.cumprod(np.r_[1.0, np.arange(1.0, K + 1)])
+        return (a * fact[:, None]).T
 
 
 # --------------------------------------------------------------------------
-# general engine (jet-valued sparse layers)
+# layered engine (jet-valued sparse layers, builds the tensors)
 # --------------------------------------------------------------------------
 
 def _a_step(layer: dict, root0: int, S0: list[int],
@@ -319,10 +271,13 @@ def _merge(a: dict, b: dict) -> dict:
 def taylor_general(frame: QuadraticFrame, x0, t0: float, K: int,
                    components: Iterable[int] | None = None,
                    keep_tensors: bool = False) -> SeriesSolution:
-    """Series coefficients for an arbitrary (time-jet) frame.
+    """Series coefficients for an arbitrary (constant or time-jet) frame.
 
-    Layer jets stay polynomials in t - center until assembly, where they are
-    evaluated at t0; the same layers therefore serve any expansion center.
+    Coefficients come from the Cauchy-product recursion.  With
+    ``keep_tensors`` they come from the layered recursion instead, which
+    also returns one :class:`CoefficientTensor` per component; its layer
+    jets stay polynomials in t - center until assembly, where they are
+    evaluated at t0, so the same layers serve any expansion center.
     Truncated frame jets must carry at least K trustworthy orders, else
     :class:`OrderBudget` is raised.
     """
@@ -331,6 +286,9 @@ def taylor_general(frame: QuadraticFrame, x0, t0: float, K: int,
         raise OrderBudget(
             f"frame jets supply {frame.min_valid_order():.0f} derivative "
             f"orders but order {K} was requested")
+    if not keep_tensors:
+        coeffs = _cauchy(frame, x0, t0, K)[[i - 1 for i in comps]]
+        return _finish(frame, x0, t0, K, comps, coeffs, None)
     cols, _ = support(frame)
     sigma = len(cols)
     S0 = [j - 1 for j in cols]
@@ -363,14 +321,12 @@ def taylor_general(frame: QuadraticFrame, x0, t0: float, K: int,
                 for counts, jet in layers.get((k + 1, s), {}).items():
                     acc += jet(t0) * float(np.prod(x_S ** np.array(counts)))
             coeffs[r, k] = x0[root0] * acc
-        if keep_tensors:
-            tensors[i] = CoefficientTensor(i, {
-                ks: {_mset_from_counts(i, counts, cols): jet
-                     for counts, jet in layer.items()}
-                for ks, layer in layers.items() if layer})
+        tensors[i] = CoefficientTensor(i, {
+            ks: {_mset_from_counts(i, counts, cols): jet
+                 for counts, jet in layer.items()}
+            for ks, layer in layers.items() if layer})
 
-    return _finish(frame, x0, t0, K, comps, coeffs,
-                   tensors if keep_tensors else None)
+    return _finish(frame, x0, t0, K, comps, coeffs, tensors)
 
 
 def _finish(frame, x0, t0, K, comps, coeffs, tensors) -> SeriesSolution:
@@ -383,10 +339,18 @@ def _finish(frame, x0, t0, K, comps, coeffs, tensors) -> SeriesSolution:
 def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
            components: Iterable[int] | None = None,
            keep_tensors: bool = False) -> SeriesSolution:
-    """Dispatch to the stationary engine when the frame allows it."""
-    if frame.is_stationary:
-        return taylor_stationary(frame, x0, K, components, t0=t0,
-                                 keep_tensors=keep_tensors)
+    """Series solution of any frame (see :func:`taylor_general`)."""
+    return taylor_general(frame, x0, t0, K, components,
+                          keep_tensors=keep_tensors)
+
+
+def taylor_stationary(frame: QuadraticFrame, x0, K: int,
+                      components: Iterable[int] | None = None,
+                      t0: float = 0.0,
+                      keep_tensors: bool = False) -> SeriesSolution:
+    """:func:`taylor` restricted to constant frames."""
+    if not frame.is_stationary:
+        raise NotStationary("frame has non-constant entries")
     return taylor_general(frame, x0, t0, K, components,
                           keep_tensors=keep_tensors)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -105,6 +106,31 @@ def ordered_string_ck(V: np.ndarray, x0: np.ndarray, i: int, k: int,
             v *= sum(V[seq[q] - 1, seq[pos] - 1] for q in range(pos))
         total += v * x0[i - 1] * float(np.prod([x0[s - 1] for s in string]))
     return total
+
+
+def cauchy_exact(frame: sq.QuadraticFrame, x0, t0: float,
+                 K: int) -> list[list[F]]:
+    """Exact derivatives c[k][i] = x_i^{(k)}(t0) for a constant or
+    polynomial-jet frame, by the Cauchy-product recursion in rationals:
+    (k+1) a_{k+1,i} = sum_j y_{j,i} a_{k-j,i} with y_j = sum_l W_l a_{j-l},
+    W_l the l-th Taylor coefficient of V at t0 and a_k = c_k / k!."""
+    m = frame.dim
+    W = [[[F(0)] * m for _ in range(m)] for _ in range(K)]
+    for i, row in enumerate(frame.entries):
+        for j, jet in enumerate(row):
+            u = F(t0) - F(jet.center)
+            for n, c in enumerate(jet.coeffs):
+                for l in range(min(n + 1, K)):
+                    W[l][i][j] += F(float(c)) * math.comb(n, l) * u ** (n - l)
+    a = [[F(float(v)) for v in x0]]
+    y = []
+    for k in range(K):
+        y.append([sum((W[l][i][j] * a[k - l][j]
+                       for l in range(k + 1) for j in range(m)), F(0))
+                  for i in range(m)])
+        a.append([sum((y[j][i] * a[k - j][i] for j in range(k + 1)), F(0))
+                  / (k + 1) for i in range(m)])
+    return [[v * math.factorial(k) for v in a[k]] for k in range(K + 1)]
 
 
 def alpha_direct(indices: tuple[int, ...], l: int) -> int:

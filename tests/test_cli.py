@@ -276,3 +276,27 @@ def test_domain_error_exits_three(tmp_path, capsys):
     p.write_text("x1' = x1^(-4/3)\n")   # phi undefined at x1 = 0
     code = main(["series", str(p), "--order", "3", "--x0", "0"])
     assert code == 3
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--x0", "nan,1"],
+    ["series", "--x0", "inf,1"],
+    ["series", "--x0", "1,x"],
+    ["series", "--t0", "nan", "--x0", "1,1"],
+    ["solve", "--to", "nan", "--x0", "1,1"],
+    ["solve", "--to=-inf", "--x0", "1,1"],
+    ["check", "--window=0,1,2", "--x0", "1,1"],
+    ["check", "--window=0", "--x0", "1,1"],
+    ["check", "--window=0,inf", "--x0", "1,1"],
+])
+def test_malformed_numbers_are_usage_errors(argv, capsys):
+    argv = argv[:1] + [str(DATA / "vex.frame"), "--format", "json"] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must" in captured.err

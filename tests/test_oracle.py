@@ -3,6 +3,7 @@ import pytest
 
 import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptyWindow
+from spquad.oracle import _rk4_frame
 
 
 def test_rk4_exponential_accuracy():
@@ -47,6 +48,14 @@ def test_rk4_order_four_convergence():
 def test_rk4_blowup_detected():
     with pytest.raises(Blowup):
         sq.rk4(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 2.0, 1e-3)
+
+
+def test_rk4_frame_reports_blowup():
+    states, ok = _rk4_frame(np.array([[5.0]]), np.array([5.0]), 10000,
+                            1e-1, 1e-1)
+    assert not ok
+    assert not np.all(np.isfinite(states[-1]))
+    assert np.all(np.isfinite(states[:-1]))
 
 
 def test_rk4_domain_exit_mid_step():

@@ -9,7 +9,7 @@ from spquad.errors import (Divergence, DomainExit, MixedCenters,
                            ZeroComponent)
 from spquad.series import RadiusWarning
 from support import (airy_first_order, airy_frame_expected, airy_series,
-                     ordered_string_ck, random_frame)
+                     cauchy_exact, ordered_string_ck, random_frame)
 
 
 def exp_frame(a=1.0):
@@ -40,7 +40,7 @@ def test_support_examples():
 
 
 # --------------------------------------------------------------------------
-# stationary engine goldens
+# constant-frame goldens
 # --------------------------------------------------------------------------
 
 def test_exponential_coefficients():
@@ -118,14 +118,56 @@ def test_stationary_frames_have_no_mixed_layers():
 
 
 def test_general_equals_stationary_on_constant_frames():
+    """The coefficient engine agrees with the layered recursion that builds
+    the tensors, on constant and on linear-jet frames."""
     rng = np.random.default_rng(109)
-    for _ in range(8):
+    for n in range(8):
         frame = random_frame(rng)
+        if n % 2:
+            frame = sq.QuadraticFrame(
+                [[sq.TimeJet([e.coeffs[0], rng.uniform(-0.5, 0.5)])
+                  for e in row] for row in frame.entries])
         x0 = rng.uniform(0.2, 1.0, frame.dim)
-        a = sq.taylor_stationary(frame, x0, 8)
-        b = sq.taylor_general(frame, x0, 0.0, 8)
-        scale = np.maximum(np.abs(a.coeffs), 1.0)
+        a = sq.taylor(frame, x0, 0.3, 8)
+        b = sq.taylor(frame, x0, 0.3, 8, keep_tensors=True)
+        assert a.tensors is None and b.tensors is not None
+        scale = np.maximum(np.abs(b.coeffs), 1.0)
         assert np.max(np.abs(a.coeffs - b.coeffs) / scale) < 1e-12
+
+
+def _alternating_frame():
+    return sq.parse_frame("0.75 -0.625\n0.875 -0.5\n"), [1.0, 0.75], 0.0
+
+
+def _wide_frame():
+    rng = np.random.default_rng(1212)
+    frame = sq.QuadraticFrame(rng.uniform(-1.0, 1.0, (12, 12)).tolist())
+    return frame, rng.uniform(0.2, 1.0, 12), 0.0
+
+
+def _linear_jet_frame():
+    """Alternating-sign linear jets, expanded away from their center."""
+    c = 0.25
+    frame = sq.QuadraticFrame([
+        [sq.TimeJet([0.75, -0.3], center=c), sq.TimeJet([-0.625, 0.1], center=c)],
+        [sq.TimeJet([0.875, 0.2], center=c), sq.TimeJet([-0.5, -0.15], center=c)],
+    ])
+    return frame, [1.0, 0.75], 1.0
+
+
+@pytest.mark.parametrize("make, K", [
+    (_alternating_frame, 16), (_alternating_frame, 24),
+    (_alternating_frame, 40), (_wide_frame, 40), (_linear_jet_frame, 16)])
+def test_coefficients_match_exact_recursion(make, K):
+    """Each order within 1e-12 of that order's largest exact coefficient."""
+    frame, x0, t0 = make()
+    sol = sq.taylor(frame, x0, t0, K)
+    exact = cauchy_exact(frame, x0, t0, K)
+    assert np.all(np.isfinite(sol.coeffs))
+    for k in range(K + 1):
+        want = np.array([float(v) for v in exact[k]])
+        err = np.max(np.abs(sol.coeffs[:, k] - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), (k, err)
 
 
 def test_append_multiplier_matches_alpha_weighted_sum():
