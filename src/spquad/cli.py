@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, errors
-from .oracle import compare, rk4
+from .oracle import MAX_STEPS, Trajectory, compare, rk4, step_count
 from .parse import monomial_text, parse_frame, parse_ode, serialize_frame
 from .quadratize import (driver_frame, inverse_driver, inverse_joint_frame,
                          phi_eval, quadratize_canonical, quadratize_inclusive)
-from .series import (RadiusWarning, continue_to, evaluate, taylor)
+from .series import MAX_ORDER, RadiusWarning, continue_to, evaluate, taylor
 from .sigmapi import analyze_domain, decompose_global, structure
 
 _PARSE_ERRORS = (errors.OdeSyntaxError,)
@@ -268,13 +268,6 @@ def cmd_check(args) -> int:
     sol = taylor(frame, z0, args.t0, args.order)
     wanted = sorted(comps)
     sel = [comps[i] - 1 for i in wanted]
-
-    def series_eval(t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RadiusWarning)
-            vals, _ = evaluate(sol, t)
-        return vals[sel]
-
     if kind == "ode":
         reference = obj          # integrate the original monomial system
         ref_x0 = _floats(args.x0)
@@ -293,13 +286,16 @@ def cmd_check(args) -> int:
     times = np.concatenate([p[0] for p in pieces])
     states = np.concatenate([p[1] for p in pieces])
     order = np.argsort(times)
-    from .oracle import Trajectory
     traj = Trajectory(times[order], states[order][:, [i - 1 for i in wanted]]
                       if kind == "ode" else states[order][:, sel],
                       {"h": args.step, "rhs": "reference"})
     stride = max(1, len(traj.times) // max(1, args.samples))
     sampled = Trajectory(traj.times[::stride], traj.states[::stride], traj.meta)
-    report = compare(series_eval, sampled, (a, b),
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RadiusWarning)
+        vals, _ = evaluate(sol, sampled.times)
+    series = Trajectory(sampled.times, vals[:, sel], {"order": args.order})
+    report = compare(series.at, sampled, (a, b),
                      t0=args.t0, radius=sol.radius_bound)
     result = {
         "window": [a, b],
@@ -318,8 +314,7 @@ def cmd_check(args) -> int:
     # plottable CSV: one row per compared sample
     rows = [["t"] + [f"series_x{i}" for i in wanted]
             + [f"reference_x{i}" for i in wanted] + ["in_radius"]]
-    for t, ref in zip(sampled.times, sampled.states):
-        got = series_eval(t)
+    for t, got, ref in zip(sampled.times, series.states, sampled.states):
         rows.append([float(t)] + [float(v) for v in got]
                     + [float(v) for v in ref]
                     + [int(abs(t - args.t0) < sol.radius_bound)])
@@ -417,8 +412,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _apply_config(args)
-        if getattr(args, "order", 0) is not None and getattr(args, "order", 0) < 0:
-            ap.error("--order must be >= 0")
+        order = getattr(args, "order", None)
+        if order is not None and not 0 <= order <= MAX_ORDER:
+            ap.error(f"--order must lie in [0, {MAX_ORDER}]")
         if getattr(args, "step", 1.0) is not None and getattr(args, "step", 1.0) <= 0:
             ap.error("--step must be > 0")
         theta = getattr(args, "theta", None)
@@ -443,6 +439,13 @@ def main(argv=None) -> int:
                 ap.error(f"--{name} must hold finite numbers")
             if name == "window" and len(values) != 2:
                 ap.error("--window must be two numbers a,b")
+        if args.command == "check":
+            a, b = _floats(args.window)
+            try:
+                step_count(max(args.t0 - a, b - args.t0, 0.0), args.step)
+            except ValueError:
+                ap.error(f"--step must cover each side of t0 in at most "
+                         f"{MAX_STEPS} RK4 steps")
         return args.func(args)
     except _PARSE_ERRORS as exc:
         span = getattr(exc, "span", None)

@@ -3,6 +3,16 @@
 Deliberately shares no machinery with the series engine so the two can
 cross-check each other.  Accepts both monomial systems and quadratic frames
 as right-hand sides; constant frames take a loop over the matrix directly.
+
+The constant-frame loop tests finiteness once per chunk of
+``_FINITE_CHUNK`` steps and then locates the first non-finite state inside
+the chunk, so it stops at the same state as a test after every step.
+Monomial systems are compiled once per :func:`rk4` call into a right-hand
+side over Python floats: constant coefficients become floats and each
+monomial a precomputed list of (index, exponent, rational).  It performs
+the operations of :meth:`SigmaPiOde.rhs` in the same order, so the values
+are bit for bit the same, and it keeps :func:`real_pow` and its domain
+errors.
 """
 
 from __future__ import annotations
@@ -13,9 +23,10 @@ import numpy as np
 
 from .errors import Blowup, EmptyWindow
 from .quadratize import QuadraticFrame
-from .sigmapi import SigmaPiOde
+from .sigmapi import SigmaPiOde, real_pow
 
 MAX_STEPS = 10_000_000
+_FINITE_CHUNK = 128  # constant-frame RK4 steps between finiteness tests
 
 
 @dataclass(frozen=True)
@@ -41,13 +52,22 @@ class Trajectory:
                 fh.write(",".join(cells) + "\n")
 
 
-def _steps(t0: float, t1: float, h: float) -> tuple[int, float, float]:
-    span = abs(t1 - t0)
+def step_count(span: float, h: float) -> int:
+    """Number of RK4 steps of at most h covering ``span`` >= 0; raises
+    ValueError when that exceeds :data:`MAX_STEPS`."""
     if span == 0.0:
+        return 0
+    ratio = span / h - 1e-12
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"covering {span} with steps of {h} takes more "
+                         f"than the {MAX_STEPS} step limit")
+    return max(1, int(np.ceil(ratio)))
+
+
+def _steps(t0: float, t1: float, h: float) -> tuple[int, float, float]:
+    n = step_count(abs(t1 - t0), h)
+    if n == 0:
         return 0, h, 0.0
-    n = max(1, int(np.ceil(span / h - 1e-12)))
-    if n > MAX_STEPS:
-        raise ValueError(f"{n} steps exceed the {MAX_STEPS} limit")
     signed_h = h if t1 > t0 else -h
     landing = (t1 - t0) - (n - 1) * signed_h
     return n, signed_h, landing
@@ -60,20 +80,52 @@ def _rk4_frame(V, x0, n_steps, h, landing):
     states[0] = x0
     x = x0.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            dt = landing if k == n_steps - 1 else h
-            k1 = (V @ x) * x
-            x2 = x + 0.5 * dt * k1
-            k2 = (V @ x2) * x2
-            x3 = x + 0.5 * dt * k2
-            k3 = (V @ x3) * x3
-            x4 = x + dt * k3
-            k4 = (V @ x4) * x4
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[k + 1] = x
-            if not np.all(np.isfinite(x)):
-                return states[:k + 2], False
+        for start in range(0, n_steps, _FINITE_CHUNK):
+            stop = min(start + _FINITE_CHUNK, n_steps)
+            for k in range(start, stop):
+                dt = landing if k == n_steps - 1 else h
+                k1 = (V @ x) * x
+                x2 = x + 0.5 * dt * k1
+                k2 = (V @ x2) * x2
+                x3 = x + 0.5 * dt * k2
+                k3 = (V @ x3) * x3
+                x4 = x + dt * k3
+                k4 = (V @ x4) * x4
+                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                states[k + 1] = x
+            finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
+            if not finite.all():
+                return states[:start + 2 + int(np.argmin(finite))], False
     return states, True
+
+
+def _monomial_rhs(ode: SigmaPiOde):
+    """``ode.rhs`` as a closure over Python floats, returning an array.
+
+    Per equation, each term's monomial is the product of its powers
+    starting from 1.0, times the coefficient, summed in term order: the
+    operations of :meth:`SigmaPiOde.rhs`, so the values agree bit for bit.
+    """
+    equations = [
+        [(float(jet.coeffs[0]) if jet.is_constant() else jet,
+          [(j - 1, value, rational) for j, value, rational in mono.items()])
+         for jet, mono in eq]
+        for eq in ode.equations]
+
+    def f(t, x):
+        xs = x.tolist()
+        out = []
+        for terms in equations:
+            acc = 0.0
+            for coeff, powers in terms:
+                mono = 1.0
+                for j, value, rational in powers:
+                    mono *= real_pow(xs[j], value, rational)
+                acc += (coeff if type(coeff) is float else coeff(t)) * mono
+            out.append(acc)
+        return np.array(out)
+
+    return f
 
 
 def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
@@ -105,7 +157,7 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     if isinstance(rhs, QuadraticFrame):
         f = rhs.rhs
     elif isinstance(rhs, SigmaPiOde):
-        f = lambda t, x: np.asarray(rhs.rhs(t, x))
+        f = _monomial_rhs(rhs)
     else:
         f = rhs  # plain callable, used by internal checks
 
@@ -120,7 +172,7 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
         k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
         k4 = f(t + dt, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise Blowup(f"state non-finite near t = {times[k + 1]}")
         states[k + 1] = x
     return Trajectory(times, states, {"h": h, "rhs": kind})

@@ -34,24 +34,24 @@ class QuadraticFrame:
     __slots__ = ("dim", "entries", "center")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = []
-        center = None
-        for row in entries:
-            jets = []
-            for e in row:
-                jet = as_jet(e)
-                if center is None:
-                    center = jet.center
-                elif jet.center != center and not jet.is_constant():
-                    raise ValueError("frame entries must share one center")
-                jets.append(jet)
-            rows.append(tuple(jets))
+        rows = [[as_jet(e) for e in row] for row in entries]
+        jets = [jet for row in rows for jet in row]
+        # the center is the first non-constant entry's; constants take it on
+        center = next((jet.center for jet in jets if not jet.is_constant()),
+                      jets[0].center if jets else 0.0)
+        if any(jet.center != center and not jet.is_constant() for jet in jets):
+            raise ValueError("frame entries must share one center")
+        rows = tuple(
+            tuple(jet if jet.center == center else
+                  TimeJet(jet.coeffs, center, jet.exact, jet.valid_order)
+                  for jet in row)
+            for row in rows)
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("frame must be square")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "center", 0.0 if center is None else center)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "center", center)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticFrame is immutable")

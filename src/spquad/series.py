@@ -50,6 +50,8 @@ from .jets import TimeJet
 from .quadratize import QuadraticFrame
 
 MAX_ORDER = 170  # float factorials overflow beyond this
+# k! for k = 0..MAX_ORDER, each the sequential float product 1 * 2 * ... * k
+_FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, MAX_ORDER + 1.0)])
 
 
 class RadiusWarning(UserWarning):
@@ -142,12 +144,7 @@ class SeriesSolution:
 
     def normalized(self) -> np.ndarray:
         """Literal series coefficients c_k / k!."""
-        out = np.array(self.coeffs, dtype=float)
-        fact = 1.0
-        for k in range(1, self.order + 1):
-            fact *= k
-            out[:, k] /= fact
-        return out
+        return np.asarray(self.coeffs, dtype=float) / _FACTORIALS[:self.order + 1]
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +194,6 @@ def _shifted_jets(frame: QuadraticFrame, t0: float, K: int) -> np.ndarray:
     for i, row in enumerate(frame.entries):
         for j, e in enumerate(row):
             P[:e.order + 1, i, j] = e.coeffs
-    # constant entries may carry their own center; it does not matter to them
     u = float(t0) - frame.center
     T = np.array([[math.comb(n, l) * u ** (n - l) if n >= l else 0.0
                    for n in range(deg + 1)] for l in range(deg + 1)])
@@ -216,8 +212,7 @@ def _cauchy(frame: QuadraticFrame, x0: np.ndarray, t0: float,
             L = min(k + 1, len(W))
             y[k] = np.einsum("lij,lj->i", W[:L], a[k::-1][:L])
             a[k + 1] = np.einsum("ji,ji->i", y[:k + 1], a[k::-1]) / (k + 1)
-        fact = np.cumprod(np.r_[1.0, np.arange(1.0, K + 1)])
-        return (a * fact[:, None]).T
+        return (a * _FACTORIALS[:K + 1, None]).T
 
 
 # --------------------------------------------------------------------------
@@ -394,23 +389,38 @@ def bound_envelope(frame: QuadraticFrame, x0, t0: float, t: float) -> float:
 # evaluation and continuation
 # --------------------------------------------------------------------------
 
-def evaluate(series: SeriesSolution, t: float) -> tuple[np.ndarray, np.ndarray]:
+def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     """Horner evaluation of sum c_k (t-t0)^k / k! per component.
 
-    Returns (values, truncation estimate), the estimate being the magnitude
-    of the last kept term.  Warns outside the radius bound.
+    ``t`` is one time or an array of times.  Returns (values, truncation
+    estimate), both of shape ``np.shape(t) + (len(series.components),)``,
+    the estimate being the magnitude of the last kept term.  Each time gets
+    exactly the arithmetic of a scalar call, so the array form equals the
+    stacked scalar calls bit for bit.  Warns once when any time lies outside
+    the radius bound.
     """
-    u = float(t) - series.t0
-    if abs(u) >= series.radius_bound:
+    K = series.order
+    if np.ndim(t) == 0:
+        u = float(t) - series.t0
+        u_K = u ** K
+        far = abs(u) >= series.radius_bound
+    else:
+        u = np.asarray(t, dtype=float)[..., None] - series.t0
+        # Python's float power per time, as in a scalar call; numpy's power
+        # may round differently
+        u_K = np.array([v ** K for v in u.ravel().tolist()]).reshape(u.shape)
+        far = np.any(np.abs(u) >= series.radius_bound)
+    if far:
         warnings.warn(
-            f"evaluating at |t - t0| = {abs(u)} outside the guaranteed "
-            f"radius {series.radius_bound}", RadiusWarning, stacklevel=2)
+            f"evaluating at |t - t0| = {np.max(np.abs(u))} outside the "
+            f"guaranteed radius {series.radius_bound}", RadiusWarning,
+            stacklevel=2)
     a = series.normalized()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.zeros(a.shape[0])
-        for k in range(series.order, -1, -1):
+        vals = np.zeros(np.shape(u)[:-1] + a.shape[:1])
+        for k in range(K, -1, -1):
             vals = vals * u + a[:, k]
-        err = np.abs(a[:, series.order] * u ** series.order)
+        err = np.abs(a[:, K] * u_K)
     return vals, err
 
 
@@ -552,13 +562,8 @@ def observable_series(series, q: Mapping[int, float]) -> SeriesSolution:
             continue
         acc = _ps_mul(acc, _ps_pow(_row(i), e))
 
-    coeffs = np.array(acc)
-    fact = 1.0
-    for k in range(1, K + 1):
-        fact *= k
-        coeffs[k] *= fact
     return SeriesSolution(
         t0=t0, x0=np.array([acc[0]]), order=K, components=(1,),
-        coeffs=coeffs.reshape(1, -1),
+        coeffs=(acc * _FACTORIALS[:K + 1]).reshape(1, -1),
         radius_bound=min(s.radius_bound for s in sources),
         frame_ref=sources[0].frame_ref + "|obs")

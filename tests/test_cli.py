@@ -174,6 +174,27 @@ def test_check_csv_emits_sample_rows(exp_frame_file, capsys):
     assert len(lines) > 10
 
 
+def test_check_csv_series_columns_equal_scalar_evaluate(capsys):
+    """The CSV's series columns are the series evaluated at the row times,
+    in the caller's components of a .spode system, on both sides of t0."""
+    path = DATA / "five_monomials.spode"
+    x0 = [1.0, 0.5, 0.8]
+    code = main(["check", str(path), "--window=-0.01,0.012", "--step", "1e-4",
+                 "--order", "10", "--x0", "1,0.5,0.8", "--format", "csv",
+                 "--samples", "40"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("t,series_x1,series_x2,series_x3,reference_x1")
+    q = sq.quadratize_inclusive(sq.parse_ode(path.read_text()))
+    sol = sq.taylor(sq.driver_frame(q), sq.phi_eval(q, x0), 0.0, 10)
+    sel = [q.identity[i] - 1 for i in (1, 2, 3)]
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) > 30 and rows[0][0] < 0.0 < rows[-1][0]
+    for row in rows:
+        vals, _ = sq.evaluate(sol, row[0])
+        assert row[1:4] == vals[sel].tolist()
+
+
 def test_solve_quadratic_to_two(tmp_path, capsys):
     p = tmp_path / "quadratic.spode"
     p.write_text("x1' = x1^2\n")
@@ -291,6 +312,8 @@ DATA = Path(__file__).resolve().parent / "data"
     ["check", "--window=0,1,2", "--x0", "1,1"],
     ["check", "--window=0", "--x0", "1,1"],
     ["check", "--window=0,inf", "--x0", "1,1"],
+    ["series", "--order", "200", "--x0", "1,1"],
+    ["check", "--window=0,1", "--step", "1e-8", "--x0", "1,1"],
 ])
 def test_malformed_numbers_are_usage_errors(argv, capsys):
     argv = argv[:1] + [str(DATA / "vex.frame"), "--format", "json"] + argv[1:]

@@ -1,9 +1,11 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
 import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptyWindow
-from spquad.oracle import _rk4_frame
+from spquad.oracle import _FINITE_CHUNK, _monomial_rhs, _rk4_frame
 
 
 def test_rk4_exponential_accuracy():
@@ -58,9 +60,87 @@ def test_rk4_frame_reports_blowup():
     assert np.all(np.isfinite(states[:-1]))
 
 
+def _rk4_frame_per_step(V, x0, n_steps, h, landing):
+    """Reference: the constant-frame loop testing finiteness every step."""
+    states = np.empty((n_steps + 1, len(x0)))
+    states[0] = x0
+    x = x0.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            dt = landing if k == n_steps - 1 else h
+            k1 = (V @ x) * x
+            x2 = x + 0.5 * dt * k1
+            k2 = (V @ x2) * x2
+            x3 = x + 0.5 * dt * k2
+            k3 = (V @ x3) * x3
+            x4 = x + dt * k3
+            k4 = (V @ x4) * x4
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[k + 1] = x
+            if not np.all(np.isfinite(x)):
+                return states[:k + 2], False
+    return states, True
+
+
+@pytest.mark.parametrize("row", [_FINITE_CHUNK - 1, _FINITE_CHUNK,
+                                 _FINITE_CHUNK + 1, 2 * _FINITE_CHUNK])
+def test_rk4_frame_blowup_near_chunk_boundary(row):
+    """The first non-finite state lands just before, at and just after the
+    end of a chunk; the chunked test stops where the per-step one does."""
+    V = np.array([[1.0, 0.0], [0.5, 0.0]])   # x1 blows up at t = 1 / x1(0)
+    h, n = 1e-2, 3 * _FINITE_CHUNK
+    for shift in np.arange(-8.0, 8.0, 0.25):
+        x0 = np.array([1.0 / (h * (row + shift)), 1.0])
+        ref_states, ref_ok = _rk4_frame_per_step(V, x0, n, h, h)
+        if len(ref_states) == row + 1:
+            break
+    else:
+        pytest.fail(f"no initial point blows up at row {row}")
+    states, ok = _rk4_frame(V, x0, n, h, h)
+    assert ok == ref_ok is False
+    assert states.shape == ref_states.shape
+    assert states.tobytes() == ref_states.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, _FINITE_CHUNK, _FINITE_CHUNK + 3])
+def test_rk4_frame_without_blowup_matches_per_step_loop(n):
+    V = np.array([[0.0, 0.8, -0.1], [0.2, 0.0, 0.3], [-0.4, 0.1, 0.0]])
+    x0 = np.array([1.0, 0.5, 0.7])
+    ref_states, ref_ok = _rk4_frame_per_step(V, x0, n, 1e-3, 4e-4)
+    states, ok = _rk4_frame(V, x0, n, 1e-3, 4e-4)
+    assert ok and ref_ok
+    assert states.tobytes() == ref_states.tobytes()
+
+
+def test_monomial_rhs_equals_sigma_pi_rhs_bitwise():
+    ode = sq.SigmaPiOde(3, [
+        [(sq.TimeJet([0.5, -1.0, 0.25], center=0.3), {1: F(1, 3), 2: 2}),
+         (2.0, {1: F(-2, 5)}), (-0.75, {})],
+        [(sq.TimeJet([0.0, 2.0]), {2: F(1, 2), 3: -1}), (1.5, {1: 1.7})],
+        [],
+    ])
+    rhs = _monomial_rhs(ode)
+    rng = np.random.default_rng(2024)
+    raised = computed = 0
+    for _ in range(400):
+        t = float(rng.uniform(-2.0, 2.0))
+        x = rng.uniform(-2.0, 2.0, 3)
+        x[rng.random(3) < 0.05] = 0.0
+        try:
+            want = np.asarray(ode.rhs(t, x))
+        except DomainViolation:
+            with pytest.raises(DomainViolation):
+                rhs(t, x)
+            raised += 1
+            continue
+        got = rhs(t, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        computed += 1
+    assert raised > 50 and computed > 50
+
+
 def test_rk4_domain_exit_mid_step():
     # x' = -x^(1/2) pulls through zero; the power then becomes undefined
-    from fractions import Fraction as F
     ode = sq.SigmaPiOde(1, [[(-1.0, {1: F(1, 2)})]])
     with pytest.raises(DomainViolation):
         sq.rk4(ode, [0.01], 0.0, 5.0, 1e-2)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from spquad.errors import (Divergence, DomainExit, MixedCenters,
 from spquad.series import RadiusWarning
 from support import (airy_first_order, airy_frame_expected, airy_series,
                      cauchy_exact, ordered_string_ck, random_frame)
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def exp_frame(a=1.0):
@@ -133,6 +138,46 @@ def test_general_equals_stationary_on_constant_frames():
         assert a.tensors is None and b.tensors is not None
         scale = np.maximum(np.abs(b.coeffs), 1.0)
         assert np.max(np.abs(a.coeffs - b.coeffs) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("jet_first", [True, False])
+def test_frame_center_comes_from_its_jets(jet_first):
+    """Constant entries take on the center of the frame's jets, whichever
+    entry comes first, so the layered recursion can combine them."""
+    jet = sq.TimeJet([1.0, 0.5], center=0.25)
+    row = [jet, 0.3] if jet_first else [0.3, jet]
+    frame = sq.QuadraticFrame([row, [0.2, 0.1]])
+    assert frame.center == 0.25
+    assert all(e.center == 0.25 for r in frame.entries for e in r)
+    a = sq.taylor(frame, [1.0, 0.7], 0.1, 8)
+    b = sq.taylor(frame, [1.0, 0.7], 0.1, 8, keep_tensors=True)
+    scale = np.maximum(np.abs(b.coeffs), 1.0)
+    assert np.max(np.abs(a.coeffs - b.coeffs) / scale) < 1e-12
+
+
+# frame.ref() and the SHA-1 prefix of serialize_frame per fixture: rebuilding
+# constant entries at the frame center must leave center-0 frames as they are
+FIXTURE_FRAMES = {
+    "affine.spode": ("885736692422", "75ae9063503e"),
+    "airy_first_order.spode": ("8d884bb006b6", "0a315bec7060"),
+    "bernoulli.spode": ("3220fdd42f7d", "57d7762243eb"),
+    "ex4_variant.frame": ("94d675d81e65", "249e18985ffe"),
+    "exdom.spode": ("162584e345e9", "8b3b8eb921ec"),
+    "five_monomials.spode": ("8de608bb41ac", "480e778cd4db"),
+    "linear2.spode": ("6323d041a409", "1275415f1d30"),
+    "vex.frame": ("49548b4d1762", "959bddb95d97"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FRAMES))
+def test_fixture_frames_keep_their_text_and_ref(name):
+    text = (DATA / name).read_text()
+    if name.endswith(".frame"):
+        frame = sq.parse_frame(text)
+    else:
+        frame = sq.driver_frame(sq.quadratize_inclusive(sq.parse_ode(text)))
+    digest = hashlib.sha1(sq.serialize_frame(frame).encode()).hexdigest()[:12]
+    assert (frame.ref(), digest) == FIXTURE_FRAMES[name]
 
 
 def _alternating_frame():
@@ -451,6 +496,29 @@ def test_evaluate_geometric_series():
     vals, err = sq.evaluate(sol, 0.5)
     assert abs(vals[0] - 2.0) < 1e-6
     assert err[0] == pytest.approx(0.5 ** 30)
+
+
+def test_evaluate_on_array_equals_scalar_calls_bitwise():
+    frame = sq.QuadraticFrame([[0.0, 0.8, 0.1], [0.2, 0.0, 0.3],
+                               [0.1, 0.1, -0.2]])
+    sol = sq.taylor(frame, [1.0, 0.5, 0.7], 0.1, 30, components=[3, 1])
+    rng = np.random.default_rng(7)
+    ts = 0.1 + rng.uniform(-0.9, 0.9, (4, 5)) * sol.radius_bound
+    vals, err = sq.evaluate(sol, ts)
+    assert vals.shape == err.shape == (4, 5, 2)
+    pairs = [sq.evaluate(sol, t) for t in ts.ravel()]
+    assert np.array_equal(vals.reshape(-1, 2), np.stack([v for v, _ in pairs]))
+    assert np.array_equal(err.reshape(-1, 2), np.stack([e for _, e in pairs]))
+    scalar_vals, scalar_err = sq.evaluate(sol, float(ts[0, 0]))
+    assert scalar_vals.shape == scalar_err.shape == (2,)
+    assert sq.evaluate(sol, np.array([]))[0].shape == (0, 2)
+
+
+def test_evaluate_on_array_warns_for_one_far_time():
+    sol = sq.taylor_stationary(exp_frame(1.0), [1.0, 1.0], 20)
+    ts = np.array([0.0, 0.1, 2.0 * sol.radius_bound])
+    with pytest.warns(RadiusWarning):
+        sq.evaluate(sol, ts)
 
 
 # --------------------------------------------------------------------------
