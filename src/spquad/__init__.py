@@ -19,7 +19,7 @@ from .quadratize import (QuadraticFrame, Quadratization,
 from .series import (CoefficientTensor, IndexMultiset, RadiusWarning,
                      SeriesSolution, bound_envelope, continue_to,
                      convergence_bound, evaluate, observable_series, support,
-                     taylor, taylor_general, taylor_stationary)
+                     taylor)
 from .sigmapi import (DecompositionStage, DomainClass, DomainDescriptor,
                       Monomial, SigmaPiOde, StructureReport, analyze_domain,
                       decompose_global, project, structure)
@@ -34,7 +34,7 @@ __all__ = [
     "quadratize_inclusive", "inverse_driver", "inverse_joint_frame",
     "driver_frame", "driver_type_ode", "phi_eval", "add_fictitious_monomial",
     "SeriesSolution", "CoefficientTensor", "IndexMultiset", "RadiusWarning",
-    "support", "taylor", "taylor_general", "taylor_stationary",
+    "support", "taylor",
     "convergence_bound", "bound_envelope", "evaluate", "continue_to",
     "observable_series",
     "Trajectory", "CompareReport", "rk4", "compare",

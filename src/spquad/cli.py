@@ -8,7 +8,8 @@ continuation to a target time) and ``check`` (series vs RK4 reference).
 Inputs are ``.spode`` equation files or ``.frame`` matrix files; monomial
 systems run through the inclusive quadratization pipeline automatically.
 Outputs are text, JSON (validating against ``schemas/cli_output.schema.json``)
-or CSV.  Exit codes: 0 ok, 2 parse/usage, 3 domain, 4 numeric.
+or CSV.  Exit codes: 0 ok, 2 parse/usage (including unreadable files and bad
+``--config`` values), 3 domain, 4 numeric.
 """
 
 from __future__ import annotations
@@ -38,41 +39,35 @@ _DOMAIN_ERRORS = (errors.ContradictoryDomain, errors.InvalidProjection,
                   errors.DomainViolation, errors.DomainExit,
                   errors.ZeroComponent, errors.EmptySystem)
 _NUMERIC_ERRORS = (errors.Blowup, errors.Divergence, errors.StepLimit,
-                   errors.OrderBudget, errors.NotStationary,
-                   errors.EmptyWindow, errors.MixedCenters, ValueError)
+                   errors.OrderBudget, errors.EmptyWindow, errors.MixedCenters)
 
 
 def _floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise errors.UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise errors.UsageError(f"cannot read {path}: not UTF-8 text") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise errors.UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _load_input(path: str):
     """Returns ('ode', SigmaPiOde) or ('frame', QuadraticFrame)."""
-    p = Path(path)
-    text = p.read_text()
-    if p.suffix == ".frame":
+    text = _read(path)
+    if Path(path).suffix == ".frame":
         return "frame", parse_frame(text)
     return "ode", parse_ode(text)
-
-
-def _pipeline(kind, obj, x0):
-    """Uniform view: a frame, the driver initial point, and the component
-    map back to the caller's coordinates."""
-    if kind == "frame":
-        frame = obj
-        if x0 is None or len(x0) != frame.dim:
-            raise errors.DomainViolation(
-                f"--x0 must supply {frame.dim} components")
-        comps = {i: i for i in range(1, frame.dim + 1)}
-        return frame, np.asarray(x0, dtype=float), comps, None
-    ode = obj
-    if x0 is None or len(x0) != ode.n:
-        raise errors.DomainViolation(f"--x0 must supply {ode.n} components")
-    q = quadratize_inclusive(ode)
-    frame = driver_frame(q)
-    z0 = phi_eval(q, x0)
-    comps = {i: q.identity[i] for i in range(1, ode.n + 1)}
-    return frame, z0, comps, q
 
 
 def _meta(args, effective: dict) -> dict:
@@ -85,19 +80,17 @@ def _meta(args, effective: dict) -> dict:
     }
 
 
-def _emit(args, payload: dict, csv_rows=None, text: str | None = None) -> None:
+def _emit(args, payload: dict, csv_rows: list, text: str) -> None:
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True)
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows or []:
-            writer.writerow(row)
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows)
         out = buf.getvalue().rstrip("\n")
     else:
-        out = text if text is not None else json.dumps(payload, indent=2)
+        out = text
     if args.output:
-        Path(args.output).write_text(out + "\n")
+        _write(args.output, out + "\n")
     else:
         print(out)
 
@@ -167,7 +160,7 @@ def cmd_quadratize(args) -> int:
         frame = inverse_joint_frame(q)
     frame_text = serialize_frame(frame)
     if args.frame_out:
-        Path(args.frame_out).write_text(frame_text)
+        _write(args.frame_out, frame_text)
     table = [
         {"s": s, "i": i, "l": l,
          "monomial": monomial_text(q.phi[s - 1]),
@@ -198,14 +191,23 @@ def cmd_quadratize(args) -> int:
 
 
 def _series_common(args):
+    """The input, then a uniform view of it: a frame, the driver initial
+    point, and the component map back to the caller's coordinates."""
     kind, obj = _load_input(args.input)
     x0 = _floats(args.x0) if args.x0 else None
-    frame, z0, comps, q = _pipeline(kind, obj, x0)
-    return kind, obj, frame, z0, comps, q
+    n = obj.dim if kind == "frame" else obj.n
+    if x0 is None or len(x0) != n:
+        raise errors.DomainViolation(f"--x0 must supply {n} components")
+    if kind == "frame":
+        return (kind, obj, obj, np.asarray(x0, dtype=float),
+                {i: i for i in range(1, n + 1)})
+    q = quadratize_inclusive(obj)
+    return (kind, obj, driver_frame(q), phi_eval(q, x0),
+            {i: q.identity[i] for i in range(1, n + 1)})
 
 
 def cmd_series(args) -> int:
-    kind, obj, frame, z0, comps, _ = _series_common(args)
+    kind, obj, frame, z0, comps = _series_common(args)
     wanted = sorted(comps)
     sol = taylor(frame, z0, args.t0, args.order,
                  components=[comps[i] for i in wanted])
@@ -213,7 +215,7 @@ def cmd_series(args) -> int:
     result = {
         "t0": args.t0, "order": args.order,
         "radius_bound": _json_float(sol.radius_bound),
-        "frame_ref": sol.frame_ref,
+        "frame_ref": frame.ref(),
         "components": {},
     }
     rows = [["component", "k", "c_k", "c_k_over_k_factorial"]]
@@ -236,7 +238,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    kind, obj, frame, z0, comps, _ = _series_common(args)
+    kind, obj, frame, z0, comps = _series_common(args)
     value, path = continue_to(frame, z0, args.t0, args.to,
                               K=args.order, theta=args.theta,
                               max_steps=args.max_steps)
@@ -263,7 +265,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    kind, obj, frame, z0, comps, _ = _series_common(args)
+    kind, obj, frame, z0, comps = _series_common(args)
     a, b = _floats(args.window)
     sol = taylor(frame, z0, args.t0, args.order)
     wanted = sorted(comps)
@@ -339,17 +341,27 @@ def _apply_config(args) -> None:
                 "t0": 0.0, "theta": 0.5, "step": 1e-4,
                 "max_steps": 200, "samples": 200}
     cfg = {}
-    if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
-    for key, fallback in defaults.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, type(fallback)(cfg.get(key, fallback)))
-    for key in ("x0", "window", "to"):
-        if hasattr(args, key) and getattr(args, key) is None and key in cfg:
-            value = cfg[key]
-            if isinstance(value, list):
-                value = ",".join(repr(float(v)) for v in value)
-            setattr(args, key, value if key != "to" else float(value))
+    if args.config:
+        try:
+            cfg = json.loads(_read(args.config))
+        except json.JSONDecodeError as exc:
+            raise errors.UsageError(
+                f"config {args.config} is not JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise errors.UsageError(f"config {args.config} is not a JSON object")
+    try:
+        for key, fallback in defaults.items():
+            if hasattr(args, key) and getattr(args, key) is None:
+                setattr(args, key, type(fallback)(cfg.get(key, fallback)))
+        for key in ("x0", "window", "to"):
+            if hasattr(args, key) and getattr(args, key) is None and key in cfg:
+                value = cfg[key]
+                if isinstance(value, list):
+                    value = ",".join(repr(float(v)) for v in value)
+                setattr(args, key, str(value) if key != "to" else float(value))
+    except (TypeError, ValueError, OverflowError):
+        raise errors.UsageError(f"config {args.config}: {key!r} has the "
+                                f"invalid value {cfg[key]!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,6 +432,9 @@ def main(argv=None) -> int:
         theta = getattr(args, "theta", None)
         if theta is not None and not 0.0 < theta <= 1.0:
             ap.error("--theta must lie in (0, 1]")
+        for name in ("max_steps", "samples"):
+            if getattr(args, name, 1) < 1:
+                ap.error(f"--{name.replace('_', '-')} must be >= 1")
         if args.command == "solve" and args.to is None:
             ap.error("solve needs --to (or 'to' in --config)")
         if args.command == "check" and args.window is None:
@@ -452,6 +467,9 @@ def main(argv=None) -> int:
         loc = (f" (line {span.line}, column {span.column}, "
                f"bytes {span.start}..{span.end})") if span else ""
         print(f"parse error: {exc}{loc}", file=sys.stderr)
+        return 2
+    except errors.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
         print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)

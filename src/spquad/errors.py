@@ -40,10 +40,6 @@ class OrderBudget(SpquadError):
     """A truncated coefficient jet cannot supply the needed derivative order."""
 
 
-class NotStationary(SpquadError):
-    """Stationary recursion invoked on a frame with non-constant entries."""
-
-
 class OutOfRadius(SpquadError):
     """Envelope bound requested outside the guaranteed convergence interval."""
 
@@ -72,6 +68,13 @@ class Blowup(SpquadError):
 
 class EmptyWindow(SpquadError):
     """Comparison window contains no trajectory samples."""
+
+
+# --- command-line errors ----------------------------------------------------
+
+class UsageError(SpquadError):
+    """A file the command line names cannot be read or written, or a
+    ``--config`` file is not a JSON object of valid option values."""
 
 
 # --- parse errors -----------------------------------------------------------

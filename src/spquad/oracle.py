@@ -2,17 +2,12 @@
 
 Deliberately shares no machinery with the series engine so the two can
 cross-check each other.  Accepts both monomial systems and quadratic frames
-as right-hand sides; constant frames take a loop over the matrix directly.
+as right-hand sides and steps their own ``rhs``; constant frames take a loop
+over the matrix directly.
 
 The constant-frame loop tests finiteness once per chunk of
 ``_FINITE_CHUNK`` steps and then locates the first non-finite state inside
 the chunk, so it stops at the same state as a test after every step.
-Monomial systems are compiled once per :func:`rk4` call into a right-hand
-side over Python floats: constant coefficients become floats and each
-monomial a precomputed list of (index, exponent, rational).  It performs
-the operations of :meth:`SigmaPiOde.rhs` in the same order, so the values
-are bit for bit the same, and it keeps :func:`real_pow` and its domain
-errors.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import numpy as np
 
 from .errors import Blowup, EmptyWindow
 from .quadratize import QuadraticFrame
-from .sigmapi import SigmaPiOde, real_pow
 
 MAX_STEPS = 10_000_000
 _FINITE_CHUNK = 128  # constant-frame RK4 steps between finiteness tests
@@ -99,40 +93,13 @@ def _rk4_frame(V, x0, n_steps, h, landing):
     return states, True
 
 
-def _monomial_rhs(ode: SigmaPiOde):
-    """``ode.rhs`` as a closure over Python floats, returning an array.
-
-    Per equation, each term's monomial is the product of its powers
-    starting from 1.0, times the coefficient, summed in term order: the
-    operations of :meth:`SigmaPiOde.rhs`, so the values agree bit for bit.
-    """
-    equations = [
-        [(float(jet.coeffs[0]) if jet.is_constant() else jet,
-          [(j - 1, value, rational) for j, value, rational in mono.items()])
-         for jet, mono in eq]
-        for eq in ode.equations]
-
-    def f(t, x):
-        xs = x.tolist()
-        out = []
-        for terms in equations:
-            acc = 0.0
-            for coeff, powers in terms:
-                mono = 1.0
-                for j, value, rational in powers:
-                    mono *= real_pow(xs[j], value, rational)
-                acc += (coeff if type(coeff) is float else coeff(t)) * mono
-            out.append(acc)
-        return np.array(out)
-
-    return f
-
-
 def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical RK4 from t0 to t1 (either direction) with step h > 0.
 
-    The final step is shortened to land on t1 exactly.  Raises
-    :class:`Blowup` when the state stops being finite; domain errors from
+    ``rhs`` is a :class:`QuadraticFrame` or a :class:`SigmaPiOde`.  The
+    final step is shortened to land on t1 exactly.  Raises :class:`Blowup`
+    when the state stops being finite or a monomial power overflows the
+    float range; domain errors from
     monomial evaluation (undefined powers) propagate as
     :class:`~spquad.errors.DomainViolation`.
     """
@@ -154,23 +121,20 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
             raise Blowup(f"state non-finite near t = {times[len(states) - 1]}")
         return Trajectory(times, states, {"h": h, "rhs": kind})
 
-    if isinstance(rhs, QuadraticFrame):
-        f = rhs.rhs
-    elif isinstance(rhs, SigmaPiOde):
-        f = _monomial_rhs(rhs)
-    else:
-        f = rhs  # plain callable, used by internal checks
-
+    f = rhs.rhs
     states = np.empty((n + 1, len(x0)))
     states[0] = x0
     x = x0.copy()
     for k in range(n):
         dt = landing if k == n - 1 else signed_h
         t = times[k]
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = f(t + dt, x + dt * k3)
+        try:
+            k1 = f(t, x)
+            k2 = f(t + 0.5 * dt, x + 0.5 * dt * k1)
+            k3 = f(t + 0.5 * dt, x + 0.5 * dt * k2)
+            k4 = f(t + dt, x + dt * k3)
+        except OverflowError as exc:   # a power beyond the float range
+            raise Blowup(f"state overflowed near t = {times[k + 1]}") from exc
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(x).all():
             raise Blowup(f"state non-finite near t = {times[k + 1]}")

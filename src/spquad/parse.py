@@ -10,6 +10,7 @@ Grammar for equations, one per line::
     coeff    := NUMBER | "poly(" SNUM ("," SNUM)* ")"
 
 ``poly(c0,c1,...)`` denotes the time polynomial c0 + c1*t + c2*t**2 + ...
+Indices start at 1, and a number beyond the float range is a syntax error.
 Exponents written as integers or parenthesised ratios are exact rationals
 (this drives the domain classification); exponents with a decimal point are
 conservatively treated as irrational.  A lone ``0`` right-hand side is the
@@ -25,6 +26,7 @@ Serialization is canonical: reals print as shortest round-trip decimals and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,13 +93,17 @@ class _LineParser:
         if not self.match(ch):
             self.fail(f"expected {ch!r}")
 
-    def read_int(self) -> int:
+    def read_index(self) -> int:
+        """A component index, 1 or more."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        idx = int(self.text[start:self.pos])
+        if idx == 0:
+            self.fail("component indices start at 1", start)
+        return idx
 
     def read_unsigned_number(self) -> tuple[float, bool, str]:
         """Returns (value, is plain integer literal, raw text)."""
@@ -127,7 +133,10 @@ class _LineParser:
             else:
                 self.pos = mark  # not an exponent suffix after all
         raw = self.text[start:self.pos]
-        return float(raw), is_int, raw
+        value = float(raw)
+        if not math.isfinite(value):
+            self.fail("number beyond the float range", start)
+        return value, is_int, raw
 
     def read_signed_number(self) -> float:
         sign = -1.0 if self.match("-") else 1.0
@@ -185,7 +194,7 @@ class _LineParser:
 
     def parse_factor(self) -> tuple[int, object]:
         self.expect("x")
-        idx = self.read_int()
+        idx = self.read_index()
         if self.match("^"):
             return idx, self.parse_exponent()
         return idx, Fraction(1)
@@ -262,7 +271,7 @@ def _parse_line(parser: _LineParser):
     parser.skip_ws()
     lhs_start = parser.pos
     parser.expect("x")
-    idx = parser.read_int()
+    idx = parser.read_index()
     lhs_span = parser.span(lhs_start)
     parser.skip_ws()
     parser.expect("'")

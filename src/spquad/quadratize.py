@@ -29,9 +29,15 @@ from .sigmapi import Monomial, SigmaPiOde
 
 
 class QuadraticFrame:
-    """Square matrix V of time jets defining dx_i/dt = (v_i' x) x_i."""
+    """Square matrix V of time jets defining dx_i/dt = (v_i' x) x_i.
 
-    __slots__ = ("dim", "entries", "center")
+    ``entries`` holds the jets, all at the frame's ``center``.  ``coeffs``
+    is their numeric form, built once: the read-only array with
+    ``coeffs[l, i, j]`` the coefficient of (t - center)**l in entry
+    (i+1, j+1), zero-padded to the highest jet order.
+    """
+
+    __slots__ = ("dim", "entries", "center", "coeffs")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = [[as_jet(e) for e in row] for row in entries]
@@ -49,9 +55,16 @@ class QuadraticFrame:
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("frame must be square")
+        coeffs = np.zeros((max((jet.order for jet in jets), default=0) + 1,
+                           dim, dim))
+        for i, row in enumerate(rows):
+            for j, jet in enumerate(row):
+                coeffs[:jet.order + 1, i, j] = jet.coeffs
+        coeffs.flags.writeable = False
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticFrame is immutable")
@@ -62,15 +75,21 @@ class QuadraticFrame:
 
     @property
     def is_stationary(self) -> bool:
-        return all(e.is_constant() for row in self.entries for e in row)
+        return len(self.coeffs) == 1
 
     def constant_matrix(self) -> np.ndarray:
         if not self.is_stationary:
             raise ValueError("frame is not stationary")
-        return np.array([[e.coeffs[0] for e in row] for row in self.entries])
+        return self.coeffs[0].copy()
 
     def evaluate(self, t: float) -> np.ndarray:
-        return np.array([[e(t) for e in row] for row in self.entries])
+        """V(t) by Horner's rule; for finite t each entry equals its
+        jet(t) bit for bit."""
+        u = float(t) - self.center
+        acc = np.zeros((self.dim, self.dim))
+        for c in self.coeffs[::-1]:
+            acc = acc * u + c
+        return acc
 
     def rhs(self, t: float, x: Sequence[float]) -> np.ndarray:
         xv = np.asarray(x, dtype=float)
@@ -139,11 +158,6 @@ class Quadratization:
 
     def pair(self, s: int) -> tuple[int, int]:
         return self.pairs[s - 1]
-
-    @property
-    def final_coeffs(self) -> tuple[tuple[TimeJet, ...], ...]:
-        """Per-equation coefficient vectors v_i reused by the final stage."""
-        return tuple(tuple(jet for jet, _ in eq) for eq in self.source.equations)
 
 
 def _pi_row(ode: SigmaPiOde, i: int, mono: Monomial) -> dict[int, float]:

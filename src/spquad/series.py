@@ -7,13 +7,15 @@ a_k = x^{(k)}(t0) / k! of the whole state:
     a_0 = x0
     (k+1) a_{k+1,i} = sum_{j<=k} y_{j,i} a_{k-j,i},   y_j = sum_{l<=j} W_l a_{j-l}
 
-where W_l = V^{(l)}(t0) / l! are the frame jets re-expanded at t0.  It costs
+where W_l = V^{(l)}(t0) / l! are the frame jets re-expanded at t0, read
+from the frame's coefficient array ``frame.coeffs``.  It costs
 O(K^2 m + K L m^2) for order K, dimension m and jet degree L, and serves
-constant and time-dependent frames alike.
+constant and time-dependent frames alike.  :func:`taylor` is the one entry
+point for both recursions.
 
 The paper's layered recursion gives the same coefficients directly in the
 frame entries and is kept for the :class:`CoefficientTensor` objects it
-builds (``keep_tensors=True``):
+builds (``taylor(..., keep_tensors=True)``):
 
     c_0(i) = x_i
     c_k(i) = sum_{s=2}^{k+1} sum_tails  v^{k+1,s}_{i,tail}(t0) * x_i * prod(x_tail)
@@ -44,8 +46,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (Divergence, DomainExit, MixedCenters, NotStationary,
-                     OrderBudget, OutOfRadius, StepLimit, ZeroComponent)
+from .errors import (Divergence, DomainExit, MixedCenters, OrderBudget,
+                     OutOfRadius, StepLimit, ZeroComponent)
 from .jets import TimeJet
 from .quadratize import QuadraticFrame
 
@@ -65,13 +67,9 @@ class RadiusWarning(UserWarning):
 def support(frame: QuadraticFrame) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
     """Nonzero columns S of the frame and, per j in S, the rows rho(j) in S
     whose entry in column j is not identically zero."""
-    m = frame.dim
-    cols = tuple(
-        j for j in range(1, m + 1)
-        if any(not frame.jet(i, j).is_zero() for i in range(1, m + 1)))
-    rho = {
-        j: tuple(l for l in cols if not frame.jet(l, j).is_zero())
-        for j in cols}
+    nonzero = np.any(frame.coeffs != 0.0, axis=0)
+    cols = tuple(j + 1 for j in np.flatnonzero(nonzero.any(axis=0)).tolist())
+    rho = {j: tuple(l for l in cols if nonzero[l - 1, j - 1]) for j in cols}
     return cols, rho
 
 
@@ -136,7 +134,6 @@ class SeriesSolution:
     components: tuple[int, ...]
     coeffs: np.ndarray
     radius_bound: float
-    frame_ref: str
     tensors: dict[int, CoefficientTensor] | None = field(default=None, compare=False)
 
     def component_row(self, i: int) -> np.ndarray:
@@ -188,16 +185,11 @@ def _mset_from_counts(root: int, counts, cols: tuple[int, ...]) -> IndexMultiset
 
 def _shifted_jets(frame: QuadraticFrame, t0: float, K: int) -> np.ndarray:
     """W[l] = V^{(l)}(t0) / l! for l < K, up to the jet degree."""
-    m = frame.dim
-    deg = max((e.order for row in frame.entries for e in row), default=0)
-    P = np.zeros((deg + 1, m, m))
-    for i, row in enumerate(frame.entries):
-        for j, e in enumerate(row):
-            P[:e.order + 1, i, j] = e.coeffs
+    deg = len(frame.coeffs) - 1
     u = float(t0) - frame.center
     T = np.array([[math.comb(n, l) * u ** (n - l) if n >= l else 0.0
                    for n in range(deg + 1)] for l in range(deg + 1)])
-    return np.einsum("ln,nij->lij", T, P)[:K]
+    return np.einsum("ln,nij->lij", T, frame.coeffs)[:K]
 
 
 def _cauchy(frame: QuadraticFrame, x0: np.ndarray, t0: float,
@@ -263,9 +255,9 @@ def _merge(a: dict, b: dict) -> dict:
     return {m: j for m, j in out.items() if not j.is_zero()}
 
 
-def taylor_general(frame: QuadraticFrame, x0, t0: float, K: int,
-                   components: Iterable[int] | None = None,
-                   keep_tensors: bool = False) -> SeriesSolution:
+def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
+           components: Iterable[int] | None = None,
+           keep_tensors: bool = False) -> SeriesSolution:
     """Series coefficients for an arbitrary (constant or time-jet) frame.
 
     Coefficients come from the Cauchy-product recursion.  With
@@ -283,71 +275,46 @@ def taylor_general(frame: QuadraticFrame, x0, t0: float, K: int,
             f"orders but order {K} was requested")
     if not keep_tensors:
         coeffs = _cauchy(frame, x0, t0, K)[[i - 1 for i in comps]]
-        return _finish(frame, x0, t0, K, comps, coeffs, None)
-    cols, _ = support(frame)
-    sigma = len(cols)
-    S0 = [j - 1 for j in cols]
-    entries = frame.entries
-    coeffs = np.zeros((len(comps), K + 1))
-    coeffs[:, 0] = x0[[i - 1 for i in comps]]
-    x_S = x0[S0]
-    tensors: dict[int, CoefficientTensor] = {}
-
-    for r, i in enumerate(comps):
-        root0 = i - 1
-        layers: dict[tuple[int, int], dict] = {}
-        init = {}
-        for jpos, jcol in enumerate(S0):
-            e = entries[root0][jcol]
-            if not e.is_zero():
-                counts = tuple(1 if l == jpos else 0 for l in range(sigma))
-                init[counts] = e
-        layers[(2, 2)] = init
-        for k in range(2, K + 1):
-            layers[(k + 1, k + 1)] = _a_step(layers[(k, k)], root0, S0, entries)
-            for s in range(3, k + 1):
-                layers[(k + 1, s)] = _merge(
-                    _a_step(layers[(k, s - 1)], root0, S0, entries),
-                    _d_step(layers[(k, s)]))
-            layers[(k + 1, 2)] = _d_step(layers[(k, 2)])
-        for k in range(1, K + 1):
-            acc = 0.0
-            for s in range(2, k + 2):
-                for counts, jet in layers.get((k + 1, s), {}).items():
-                    acc += jet(t0) * float(np.prod(x_S ** np.array(counts)))
-            coeffs[r, k] = x0[root0] * acc
-        tensors[i] = CoefficientTensor(i, {
-            ks: {_mset_from_counts(i, counts, cols): jet
-                 for counts, jet in layer.items()}
-            for ks, layer in layers.items() if layer})
-
-    return _finish(frame, x0, t0, K, comps, coeffs, tensors)
-
-
-def _finish(frame, x0, t0, K, comps, coeffs, tensors) -> SeriesSolution:
+        tensors = None
+    else:
+        cols, _ = support(frame)
+        sigma = len(cols)
+        S0 = [j - 1 for j in cols]
+        entries = frame.entries
+        coeffs = np.zeros((len(comps), K + 1))
+        coeffs[:, 0] = x0[[i - 1 for i in comps]]
+        x_S = x0[S0]
+        tensors = {}
+        for r, i in enumerate(comps):
+            root0 = i - 1
+            layers: dict[tuple[int, int], dict] = {}
+            init = {}
+            for jpos, jcol in enumerate(S0):
+                e = entries[root0][jcol]
+                if not e.is_zero():
+                    counts = tuple(1 if l == jpos else 0 for l in range(sigma))
+                    init[counts] = e
+            layers[(2, 2)] = init
+            for k in range(2, K + 1):
+                layers[(k + 1, k + 1)] = _a_step(layers[(k, k)], root0, S0, entries)
+                for s in range(3, k + 1):
+                    layers[(k + 1, s)] = _merge(
+                        _a_step(layers[(k, s - 1)], root0, S0, entries),
+                        _d_step(layers[(k, s)]))
+                layers[(k + 1, 2)] = _d_step(layers[(k, 2)])
+            for k in range(1, K + 1):
+                acc = 0.0
+                for s in range(2, k + 2):
+                    for counts, jet in layers.get((k + 1, s), {}).items():
+                        acc += jet(t0) * float(np.prod(x_S ** np.array(counts)))
+                coeffs[r, k] = x0[root0] * acc
+            tensors[i] = CoefficientTensor(i, {
+                ks: {_mset_from_counts(i, counts, cols): jet
+                     for counts, jet in layer.items()}
+                for ks, layer in layers.items() if layer})
     return SeriesSolution(
         t0=float(t0), x0=x0, order=K, components=comps, coeffs=coeffs,
-        radius_bound=convergence_bound(frame, x0, t0),
-        frame_ref=frame.ref(), tensors=tensors)
-
-
-def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
-           components: Iterable[int] | None = None,
-           keep_tensors: bool = False) -> SeriesSolution:
-    """Series solution of any frame (see :func:`taylor_general`)."""
-    return taylor_general(frame, x0, t0, K, components,
-                          keep_tensors=keep_tensors)
-
-
-def taylor_stationary(frame: QuadraticFrame, x0, K: int,
-                      components: Iterable[int] | None = None,
-                      t0: float = 0.0,
-                      keep_tensors: bool = False) -> SeriesSolution:
-    """:func:`taylor` restricted to constant frames."""
-    if not frame.is_stationary:
-        raise NotStationary("frame has non-constant entries")
-    return taylor_general(frame, x0, t0, K, components,
-                          keep_tensors=keep_tensors)
+        radius_bound=convergence_bound(frame, x0, t0), tensors=tensors)
 
 
 # --------------------------------------------------------------------------
@@ -362,9 +329,7 @@ def convergence_bound(frame: QuadraticFrame, x0, t0: float = 0.0) -> float:
     sigma = len(cols)
     if sigma == 0:
         return float("inf")
-    v_M = max(abs(frame.jet(i, j)(t0))
-              for i in range(1, frame.dim + 1)
-              for j in range(1, frame.dim + 1))
+    v_M = float(np.max(np.abs(frame.evaluate(t0))))
     if v_M == 0.0:
         return float("inf")
     x_M = float(np.max(np.abs(x0)))
@@ -389,12 +354,21 @@ def bound_envelope(frame: QuadraticFrame, x0, t0: float, t: float) -> float:
 # evaluation and continuation
 # --------------------------------------------------------------------------
 
+def _power(u: float, K: int) -> float:
+    """u ** K, or inf where its magnitude passes the float range."""
+    try:
+        return u ** K
+    except OverflowError:
+        return math.inf
+
+
 def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     """Horner evaluation of sum c_k (t-t0)^k / k! per component.
 
     ``t`` is one time or an array of times.  Returns (values, truncation
     estimate), both of shape ``np.shape(t) + (len(series.components),)``,
-    the estimate being the magnitude of the last kept term.  Each time gets
+    the estimate being the magnitude of the last kept term, where a power
+    |t - t0|^K beyond the float range counts as inf.  Each time gets
     exactly the arithmetic of a scalar call, so the array form equals the
     stacked scalar calls bit for bit.  Warns once when any time lies outside
     the radius bound.
@@ -402,13 +376,13 @@ def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     K = series.order
     if np.ndim(t) == 0:
         u = float(t) - series.t0
-        u_K = u ** K
+        u_K = _power(u, K)
         far = abs(u) >= series.radius_bound
     else:
         u = np.asarray(t, dtype=float)[..., None] - series.t0
         # Python's float power per time, as in a scalar call; numpy's power
         # may round differently
-        u_K = np.array([v ** K for v in u.ravel().tolist()]).reshape(u.shape)
+        u_K = np.array([_power(v, K) for v in u.ravel().tolist()]).reshape(u.shape)
         far = np.any(np.abs(u) >= series.radius_bound)
     if far:
         warnings.warn(
@@ -565,5 +539,4 @@ def observable_series(series, q: Mapping[int, float]) -> SeriesSolution:
     return SeriesSolution(
         t0=t0, x0=np.array([acc[0]]), order=K, components=(1,),
         coeffs=(acc * _FACTORIALS[:K + 1]).reshape(1, -1),
-        radius_bound=min(s.radius_bound for s in sources),
-        frame_ref=sources[0].frame_ref + "|obs")
+        radius_bound=min(s.radius_bound for s in sources))

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ContradictoryDomain, DomainViolation, InvalidProjection
 from .jets import as_jet
 
@@ -160,9 +162,13 @@ class SigmaPiOde:
     tuple of ``(TimeJet, Monomial)`` pairs; an empty tuple encodes the zero
     equation.  ``n == 0`` is allowed and represents the fully projected zero
     system produced by the decomposition cascade.
+
+    :meth:`rhs` reads a form built once, at construction: per term the
+    coefficient (a float when constant, else its jet) and the monomial's
+    ``(0-based index, exponent, exact rational or None)`` factors.
     """
 
-    __slots__ = ("n", "equations")
+    __slots__ = ("n", "equations", "_terms")
 
     def __init__(self, n: int, equations: Sequence[Sequence] = ()):
         n = int(n)
@@ -186,6 +192,11 @@ class SigmaPiOde:
             raise ValueError("more equations than indeterminates")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "equations", tuple(eqs))
+        object.__setattr__(self, "_terms", tuple(
+            tuple((float(jet.coeffs[0]) if jet.is_constant() else jet,
+                   tuple((j - 1, value, rat) for j, value, rat in mono.items()))
+                  for jet, mono in eq)
+            for eq in eqs))
 
     def __setattr__(self, name, value):
         raise AttributeError("SigmaPiOde is immutable")
@@ -201,15 +212,19 @@ class SigmaPiOde:
     def is_zero_system(self) -> bool:
         return all(len(eq) == 0 for eq in self.equations)
 
-    def rhs(self, t: float, x: Sequence[float]) -> list[float]:
-        """Evaluate the right-hand side at (t, x)."""
+    def rhs(self, t: float, x: Sequence[float]) -> np.ndarray:
+        """Evaluate the right-hand side at (t, x), summing terms in order."""
+        xs = np.asarray(x, dtype=float).tolist()
         out = []
-        for eq in self.equations:
+        for terms in self._terms:
             acc = 0.0
-            for jet, mono in eq:
-                acc += jet(t) * mono.evaluate(x)
+            for coeff, powers in terms:
+                mono = 1.0
+                for j, value, rat in powers:
+                    mono *= real_pow(xs[j], value, rat)
+                acc += (coeff if type(coeff) is float else coeff(t)) * mono
             out.append(acc)
-        return out
+        return np.array(out)
 
     def __eq__(self, other):
         if not isinstance(other, SigmaPiOde):

@@ -209,3 +209,37 @@ def random_frame(rng: np.random.Generator, m_max: int = 3,
     if zero_column and m > 1:
         V[:, int(rng.integers(m))] = 0.0
     return sq.QuadraticFrame(V.tolist())
+
+
+def random_jet_frame(rng: np.random.Generator, m_max: int = 4,
+                     center: float = 0.0) -> sq.QuadraticFrame:
+    """Frame of jets of mixed degree 0..3 around ``center``: some entries
+    zero, some vanishing only at the center, and one zero column."""
+    m = int(rng.integers(1, m_max + 1))
+    rows = []
+    for _ in range(m):
+        row = []
+        for _ in range(m):
+            roll = rng.random()
+            if roll < 0.25:
+                coeffs = [0.0]
+            elif roll < 0.35:
+                coeffs = [0.0, rng.uniform(-1.0, 1.0)]
+            else:
+                coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 5)))
+            row.append(sq.TimeJet(coeffs, center))
+        rows.append(row)
+    if m > 1:
+        col = int(rng.integers(m))
+        for row in rows:
+            row[col] = sq.TimeJet.zero(center)
+    return sq.QuadraticFrame(rows)
+
+
+def fixture_frame(path) -> sq.QuadraticFrame:
+    """The frame a ``tests/data`` file solves on: a ``.frame`` as parsed, a
+    ``.spode`` through the inclusive quadratization."""
+    text = path.read_text()
+    if path.suffix == ".frame":
+        return sq.parse_frame(text)
+    return sq.driver_frame(sq.quadratize_inclusive(sq.parse_ode(text)))

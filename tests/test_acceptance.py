@@ -28,7 +28,7 @@ def test_acceptance_01_exponential_series():
     a = 1.0
     frame = sq.QuadraticFrame([[0.0, a], [0.0, 0.0]])
     start = time.perf_counter()
-    sol = sq.taylor_stationary(frame, [1.0, 1.0], 20)
+    sol = sq.taylor(frame, [1.0, 1.0], 0.0, 20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RadiusWarning)
         vals, _ = sq.evaluate(sol, 1.0)
@@ -46,7 +46,7 @@ def test_acceptance_02_nonstationary_series():
     x = 3.0
     frame = sq.QuadraticFrame([[0.0, sq.TimeJet([0.0, 2.0])], [0.0, 0.0]])
     start = time.perf_counter()
-    sol = sq.taylor_general(frame, [x, 1.0], 0.0, 8)
+    sol = sq.taylor(frame, [x, 1.0], 0.0, 8)
     elapsed = time.perf_counter() - start
     c = sol.component_row(1)
     expect = x * np.array([1, 0, 2, 0, 12, 0, 120, 0, 1680], dtype=float)
@@ -63,7 +63,7 @@ def test_acceptance_02_nonstationary_series():
 def test_acceptance_03_quadratic_series_bound_continuation():
     for a, x in ((1.0, 1.0), (0.7, 1.3), (1.0, -2.0)):
         frame = sq.QuadraticFrame([[a]])
-        sol = sq.taylor_stationary(frame, [x], 15)
+        sol = sq.taylor(frame, [x], 0.0, 15)
         for k in range(16):
             expect = math.factorial(k) * a ** k * x ** (k + 1)
             assert abs(sol.component_row(1)[k] - expect) <= 1e-9 * abs(expect)
@@ -89,7 +89,7 @@ def test_acceptance_04_airy():
             assert presented.jet(i, j) == expected.jet(i, j)
     x1, x2 = 0.7, 1.3   # x1 the derivative value p2, x2 the function value p1
     z0 = sq.phi_eval(q, [x1, x2])
-    sol = sq.taylor_general(frame, z0, 0.0, 12, components=[q.identity[2]])
+    sol = sq.taylor(frame, z0, 0.0, 12, components=[q.identity[2]])
     elapsed = time.perf_counter() - start
     norm = sol.normalized()[0]
     expect = airy_series(x2, x1, 12)
@@ -111,7 +111,7 @@ def test_acceptance_05_oracle_equivalence():
         V = rng.uniform(-1.0, 1.0, (m, m))
         x0 = rng.uniform(0.2, 1.0, m)
         frame = sq.QuadraticFrame(V.tolist())
-        sol = sq.taylor_stationary(frame, x0, 25)
+        sol = sq.taylor(frame, x0, 0.0, 25)
         half = sol.radius_bound / 2.0
         dev = 0.0
         for sign in (1.0, -1.0):
@@ -159,7 +159,7 @@ def test_acceptance_07_ordered_string_oracle():
         V = frame.constant_matrix()
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         K = int(rng.integers(3, 7))
-        sol = sq.taylor_stationary(frame, x0, K)
+        sol = sq.taylor(frame, x0, 0.0, K)
         S, _ = sq.support(frame)
         for i in range(1, frame.dim + 1):
             for k in range(K + 1):
@@ -176,7 +176,7 @@ def test_acceptance_08_structural_invariants():
         frame = random_frame(rng, zero_column=True)
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         S, _ = sq.support(frame)
-        sol = sq.taylor_stationary(frame, x0, 6, keep_tensors=True)
+        sol = sq.taylor(frame, x0, 0.0, 6, keep_tensors=True)
         for tensor in sol.tensors.values():
             for layer in tensor.layers.values():
                 for key in layer:
@@ -184,7 +184,7 @@ def test_acceptance_08_structural_invariants():
     # (b) stationary frames populate no mixed layers (k > s empty)
     frame = random_frame(rng)
     x0 = rng.uniform(0.2, 1.0, frame.dim)
-    sol = sq.taylor_general(frame, x0, 0.0, 7, keep_tensors=True)
+    sol = sq.taylor(frame, x0, 0.0, 7, keep_tensors=True)
     for tensor in sol.tensors.values():
         for (k, s), layer in tensor.layers.items():
             assert k == s or not layer
@@ -213,7 +213,7 @@ def test_acceptance_08_structural_invariants():
     while checked < 50:
         frame = random_frame(rng)
         x0 = rng.uniform(0.2, 1.0, frame.dim)
-        sol = sq.taylor_stationary(frame, x0, 25)
+        sol = sq.taylor(frame, x0, 0.0, 25)
         rbar = sol.radius_bound
         horizon = min(rbar, 10.0)
         for frac in (0.15, 0.45, 0.75, 0.9):

@@ -314,6 +314,8 @@ DATA = Path(__file__).resolve().parent / "data"
     ["check", "--window=0,inf", "--x0", "1,1"],
     ["series", "--order", "200", "--x0", "1,1"],
     ["check", "--window=0,1", "--step", "1e-8", "--x0", "1,1"],
+    ["solve", "--to", "1", "--x0", "1,1", "--max-steps", "0"],
+    ["check", "--window=0,1", "--x0", "1,1", "--samples", "0"],
 ])
 def test_malformed_numbers_are_usage_errors(argv, capsys):
     argv = argv[:1] + [str(DATA / "vex.frame"), "--format", "json"] + argv[1:]
@@ -323,3 +325,66 @@ def test_malformed_numbers_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must" in captured.err
+
+
+VEX = str(DATA / "vex.frame")
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({}, ["series", "{tmp}/missing.frame", "--x0", "1,1"]),
+    ({"bin.spode": b"\xff\xfe\x00"}, ["series", "{tmp}/bin.spode", "--x0", "1"]),
+    ({}, ["series", VEX, "--x0", "1,1", "--config", "{tmp}/missing.json"]),
+    ({"c.json": b"{bad"}, ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b"[1]"}, ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"order": [1]}'},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"order": "abc"}'},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"order": 1e999}'},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"x0": [1, "a"]}'}, ["series", VEX, "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"to": "soon"}'},
+     ["solve", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({}, ["series", VEX, "--x0", "1,1", "--output", "{tmp}/no/dir.json"]),
+    ({}, ["quadratize", str(DATA / "linear2.spode"),
+          "--frame-out", "{tmp}/no/dir.frame"]),
+    ({"a.spode": b"x0' = x1\n"}, ["series", "{tmp}/a.spode", "--x0", "1"]),
+    ({"a.spode": b"x1' = x0\n"}, ["series", "{tmp}/a.spode", "--x0", "1"]),
+    ({"a.frame": b"1e999 0\n0 1\n"}, ["series", "{tmp}/a.frame", "--x0", "1,1"]),
+])
+def test_unusable_files_are_usage_errors(files, argv, tmp_path, capsys):
+    """Unreadable or invalid input, config and output files exit 2 with a
+    one-line message and no output."""
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_check_of_overflowing_spode_is_a_blowup(tmp_path, capsys):
+    p = tmp_path / "cube.spode"
+    p.write_text("x1' = x1^3\n")
+    code = main(["check", str(p), "--window=0,1", "--step", "1e-3",
+                 "--x0", "1", "--order", "8", "--format", "json"])
+    assert code == 4
+    assert "Blowup" in capsys.readouterr().err
+
+
+def test_check_where_the_series_power_overflows_prints_strict_json(tmp_path, capsys):
+    """|t - t0|^K overflows the float range on the zero frame, whose radius
+    bound is inf; the run still ends with strict JSON."""
+    p = tmp_path / "zero.frame"
+    p.write_text("0 0\n0 0\n")
+    code = main(["check", str(p), "--window=0,1e5", "--step", "1",
+                 "--order", "100", "--x0", "1,1", "--format", "json"])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    jsonschema.validate(payload, SCHEMA)
+    assert payload["result"]["max_rel"] == 0.0

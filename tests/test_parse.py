@@ -70,6 +70,38 @@ def test_syntax_error_carries_span():
     assert 0 <= span.start <= span.end <= len("x1' = 3*\n")
 
 
+@pytest.mark.parametrize("text, column", [
+    ("x0' = x1\n", 2),
+    ("x1' = x0\n", 8),
+    ("x2' = 3*x1*x0^2\n", 13),
+])
+def test_index_zero_rejected_with_span(text, column):
+    with pytest.raises(OdeSyntaxError) as err:
+        sq.parse_ode(text)
+    span = err.value.span
+    assert (span.line, span.column, span.end - span.start) == (1, column, 1)
+
+
+@pytest.mark.parametrize("text, literal", [
+    ("x1' = 1e999*x1\n", "1e999"),
+    ("x1' = x1^1e400\n", "1e400"),
+    ("x1' = x1^(1/" + "9" * 400 + ")\n", "9" * 400),
+    ("x1' = poly(1,-2e308)*x1\n", "2e308"),
+])
+def test_literals_beyond_float_range_rejected(text, literal):
+    with pytest.raises(OdeSyntaxError) as err:
+        sq.parse_ode(text)
+    span = err.value.span
+    assert text[span.start:span.end] == literal
+
+
+def test_frame_literal_beyond_float_range_rejected():
+    with pytest.raises(OdeSyntaxError) as err:
+        sq.parse_frame("1 0\n0 1e999\n")
+    span = err.value.span
+    assert (span.line, span.column) == (2, 3)
+
+
 def test_duplicate_equation_rejected():
     with pytest.raises(DuplicateEquation):
         sq.parse_ode("x1' = x1\nx1' = x1^2\n")

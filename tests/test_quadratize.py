@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ import spquad as sq
 from spquad.errors import DomainViolation, EmptySystem
 from spquad.parse import monomial_text
 from support import (airy_first_order, airy_frame_expected, airy_series,
-                     five_monomial_ode, random_frame, random_sigma_pi)
+                     five_monomial_ode, fixture_frame, random_frame,
+                     random_jet_frame, random_sigma_pi)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def driver_rhs(q, t, x):
@@ -356,7 +360,58 @@ def test_cubed_observable_of_exponential_flow():
     q = sq.quadratize_inclusive(ode)
     fr = sq.driver_frame(q)
     z0 = sq.phi_eval(q, [x])
-    sol = sq.taylor_stationary(fr, z0, 24)
+    sol = sq.taylor(fr, z0, 0.0, 24)
     g = sq.observable_series(sol, {q.flat_index(1, 2): 1, q.identity[1]: 1})
     val, _ = sq.evaluate(g, 0.3)
     assert val[0] == pytest.approx((x * np.exp(a * 0.3)) ** 3, rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# the frame's coefficient array
+# --------------------------------------------------------------------------
+
+def _frames_to_evaluate():
+    frames = [fixture_frame(path) for path in sorted(DATA.iterdir())]
+    rng = np.random.default_rng(401)
+    frames += [random_jet_frame(rng, center=c) for c in (0.0, 0.25, -1.5)
+               for _ in range(6)]
+    return frames
+
+
+def test_evaluate_equals_entry_jets_bitwise():
+    """V(t) from the coefficient array is each entry's jet(t), bit for bit,
+    at times on both sides of the center."""
+    for frame in _frames_to_evaluate():
+        for dt in (0.0, 1e-3, -1e-3, 0.3, -0.7, 2.5, -12.5):
+            t = frame.center + dt
+            want = np.array([[e(t) for e in row] for row in frame.entries])
+            got = frame.evaluate(t)
+            assert got.shape == (frame.dim, frame.dim)
+            assert got.tobytes() == want.reshape(got.shape).tobytes()
+
+
+def test_stationary_form_reads_the_entries():
+    for frame in _frames_to_evaluate():
+        stationary = all(e.is_constant() for row in frame.entries for e in row)
+        assert frame.is_stationary == stationary
+        if stationary:
+            want = np.array([[e.coeffs[0] for e in row] for row in frame.entries])
+            assert frame.constant_matrix().tobytes() == want.reshape(
+                frame.dim, frame.dim).tobytes()
+        else:
+            with pytest.raises(ValueError):
+                frame.constant_matrix()
+
+
+def test_frame_coeffs_are_read_only():
+    frame = sq.QuadraticFrame([[sq.TimeJet([1.0, 2.0]), 0.5], [0.0, -1.0]])
+    assert frame.coeffs.shape == (2, 2, 2)
+    assert frame.coeffs[:, 0, 0].tolist() == [1.0, 2.0]
+    assert frame.coeffs[:, 0, 1].tolist() == [0.5, 0.0]
+    with pytest.raises(ValueError):
+        frame.coeffs[0, 0, 0] = 3.0
+    with pytest.raises(AttributeError):
+        frame.coeffs = np.zeros((1, 2, 2))
+    constant = sq.QuadraticFrame([[1.0]])
+    constant.constant_matrix()[0, 0] = 2.0     # a copy, not the frame's array
+    assert constant.coeffs[0, 0, 0] == 1.0

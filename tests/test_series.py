@@ -7,11 +7,11 @@ import pytest
 
 import spquad as sq
 from spquad.errors import (Divergence, DomainExit, MixedCenters,
-                           NotStationary, OrderBudget, StepLimit,
-                           ZeroComponent)
+                           OrderBudget, StepLimit, ZeroComponent)
 from spquad.series import RadiusWarning
 from support import (airy_first_order, airy_frame_expected, airy_series,
-                     cauchy_exact, ordered_string_ck, random_frame)
+                     cauchy_exact, fixture_frame, ordered_string_ck,
+                     random_frame, random_jet_frame)
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -44,35 +44,80 @@ def test_support_examples():
     assert S2 == (3, 4)
 
 
+def _support_per_entry(frame):
+    """Reference: columns with a nonzero jet, then the support rows whose
+    jet in that column is nonzero."""
+    m = frame.dim
+    cols = tuple(j for j in range(1, m + 1)
+                 if any(not frame.jet(i, j).is_zero() for i in range(1, m + 1)))
+    return cols, {j: tuple(l for l in cols if not frame.jet(l, j).is_zero())
+                  for j in cols}
+
+
+def _bound_per_entry(frame, x0, t0):
+    """Reference: 1 / (sigma * max_ij |v_ij(t0)| * max_i |x0_i|)."""
+    sigma = len(_support_per_entry(frame)[0])
+    if sigma == 0:
+        return float("inf")
+    v_M = max(abs(frame.jet(i, j)(t0)) for i in range(1, frame.dim + 1)
+              for j in range(1, frame.dim + 1))
+    if v_M == 0.0:
+        return float("inf")
+    return 1.0 / (sigma * v_M * float(np.max(np.abs(x0))))
+
+
+def _frames_with_zero_columns():
+    frames = [fixture_frame(path) for path in sorted(DATA.iterdir())]
+    frames.append(sq.QuadraticFrame([[0.0, 0.0], [0.0, 0.0]]))
+    rng = np.random.default_rng(409)
+    frames += [random_jet_frame(rng, center=c) for c in (0.0, 0.5)
+               for _ in range(10)]
+    frames += [random_frame(rng, zero_column=True) for _ in range(6)]
+    return frames
+
+
+def test_support_and_bound_equal_their_per_entry_definitions():
+    rng = np.random.default_rng(419)
+    for frame in _frames_with_zero_columns():
+        S, rho = sq.support(frame)
+        assert (S, rho) == _support_per_entry(frame)
+        assert all(type(j) is int for j in S)
+        x0 = rng.uniform(-2.0, 2.0, frame.dim)
+        for t0 in (frame.center, frame.center + 0.4, frame.center - 1.3):
+            got = sq.convergence_bound(frame, x0, t0)
+            want = _bound_per_entry(frame, x0, t0)
+            assert got == want and type(got) is float
+
+
 # --------------------------------------------------------------------------
 # constant-frame goldens
 # --------------------------------------------------------------------------
 
 def test_exponential_coefficients():
-    sol = sq.taylor_stationary(exp_frame(0.9), [1.0, 1.0], 20)
+    sol = sq.taylor(exp_frame(0.9), [1.0, 1.0], 0.0, 20)
     assert np.allclose(sol.component_row(1), 0.9 ** np.arange(21), rtol=1e-13)
     assert np.all(sol.component_row(2)[1:] == 0.0)
 
 
 def test_pure_square_coefficients_are_factorials():
     a, x = 1.0, 1.0
-    sol = sq.taylor_stationary(sq.QuadraticFrame([[a]]), [x], 15)
+    sol = sq.taylor(sq.QuadraticFrame([[a]]), [x], 0.0, 15)
     expect = np.array([math.factorial(k) * a**k * x**(k + 1) for k in range(16)])
     assert np.allclose(sol.component_row(1), expect, rtol=1e-12)
 
 
 def test_zero_frame_constant_series():
-    sol = sq.taylor_stationary(sq.QuadraticFrame([[0.0, 0.0], [0.0, 0.0]]),
-                               [2.0, -3.0], 8)
+    sol = sq.taylor(sq.QuadraticFrame([[0.0, 0.0], [0.0, 0.0]]),
+                    [2.0, -3.0], 0.0, 8)
     assert np.all(sol.coeffs[:, 1:] == 0.0)
     assert sol.radius_bound == float("inf")
 
 
 def test_order_zero_returns_initial_point_only():
-    sol = sq.taylor_stationary(exp_frame(), [4.0, 1.0], 0)
+    sol = sq.taylor(exp_frame(), [4.0, 1.0], 0.0, 0)
     assert sol.coeffs.shape == (2, 1)
     assert sol.coeffs[:, 0].tolist() == [4.0, 1.0]
-    gen = sq.taylor_general(sq.QuadraticFrame([[t_jet()]]), [2.0], 0.5, 0)
+    gen = sq.taylor(sq.QuadraticFrame([[t_jet()]]), [2.0], 0.5, 0)
     assert gen.coeffs.tolist() == [[2.0]]
 
 
@@ -87,7 +132,7 @@ def test_aggregated_recursion_matches_ordered_strings():
         V = frame.constant_matrix()
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         K = int(rng.integers(3, 7))
-        sol = sq.taylor_stationary(frame, x0, K)
+        sol = sq.taylor(frame, x0, 0.0, K)
         S, _ = sq.support(frame)
         for i in range(1, frame.dim + 1):
             for k in range(K + 1):
@@ -102,20 +147,19 @@ def test_tail_keys_confined_to_support():
         frame = random_frame(rng, zero_column=True)
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         S, _ = sq.support(frame)
-        for sol in (sq.taylor_stationary(frame, x0, 6, keep_tensors=True),
-                    sq.taylor_general(frame, x0, 0.0, 6, keep_tensors=True)):
-            for tensor in sol.tensors.values():
-                for layer in tensor.layers.values():
-                    for key in layer:
-                        assert all(j in S for j, _ in key.pairs)
-                        assert key.total >= 1
+        sol = sq.taylor(frame, x0, 0.0, 6, keep_tensors=True)
+        for tensor in sol.tensors.values():
+            for layer in tensor.layers.values():
+                for key in layer:
+                    assert all(j in S for j, _ in key.pairs)
+                    assert key.total >= 1
 
 
 def test_stationary_frames_have_no_mixed_layers():
     rng = np.random.default_rng(107)
     frame = random_frame(rng)
     x0 = rng.uniform(0.2, 1.0, frame.dim)
-    sol = sq.taylor_general(frame, x0, 0.0, 7, keep_tensors=True)
+    sol = sq.taylor(frame, x0, 0.0, 7, keep_tensors=True)
     for tensor in sol.tensors.values():
         for (k, s), layer in tensor.layers.items():
             if layer:
@@ -244,7 +288,7 @@ def test_append_multiplier_matches_alpha_weighted_sum():
 def test_time_dependent_exponential_of_t_squared():
     frame = sq.QuadraticFrame([[0.0, t_jet(2.0)], [0.0, 0.0]])
     x = 3.0
-    sol = sq.taylor_general(frame, [x, 1.0], 0.0, 8)
+    sol = sq.taylor(frame, [x, 1.0], 0.0, 8)
     expect = x * np.array([1, 0, 2, 0, 12, 0, 120, 0, 1680], dtype=float)
     assert np.array_equal(sol.component_row(1), expect)
 
@@ -254,7 +298,7 @@ def test_time_dependent_series_recentered():
     frame = sq.QuadraticFrame([[0.0, t_jet(2.0)], [0.0, 0.0]])
     t0 = 0.4
     x0 = np.array([np.exp(t0 ** 2), 1.0])
-    sol = sq.taylor_general(frame, x0, t0, 16)
+    sol = sq.taylor(frame, x0, t0, 16)
     vals, _ = sq.evaluate(sol, 0.55)
     assert vals[0] == pytest.approx(np.exp(0.55 ** 2), rel=1e-12)
 
@@ -264,7 +308,7 @@ def test_airy_component_series():
     frame = sq.driver_frame(q)
     x1, x2 = 0.7, 1.3
     z0 = sq.phi_eval(q, [x1, x2])
-    sol = sq.taylor_general(frame, z0, 0.0, 12, components=[q.identity[2]])
+    sol = sq.taylor(frame, z0, 0.0, 12, components=[q.identity[2]])
     norm = sol.normalized()[0]
     assert np.allclose(norm, airy_series(x2, x1, 12), rtol=1e-12, atol=1e-14)
     c = sol.component_row(q.identity[2])
@@ -281,7 +325,7 @@ def test_airy_layer_jet_matches_hand_value():
     frame = sq.driver_frame(q)
     root = q.identity[2]
     z0 = sq.phi_eval(q, [0.7, 1.3])
-    sol = sq.taylor_general(frame, z0, 0.0, 3, components=[root],
+    sol = sq.taylor(frame, z0, 0.0, 3, components=[root],
                             keep_tensors=True)
     layer = sol.tensors[root].layers[(3, 3)]
     key = sq.IndexMultiset(root, ((q.flat_index(1, 1), 1),
@@ -328,7 +372,7 @@ def test_derivative_link_against_reference_flow():
                     for _ in range(m)] for _ in range(m)]
         frame = sq.QuadraticFrame(entries)
         x0 = rng.uniform(0.4, 1.0, m)
-        sol = sq.taylor_general(frame, x0, 0.0, 4)
+        sol = sq.taylor(frame, x0, 0.0, 4)
         fwd = sq.rk4(frame, x0, 0.0, 2 * delta + 1e-12, h)
         back = sq.rk4(frame, x0, 0.0, -2 * delta - 1e-12, h)
 
@@ -362,7 +406,7 @@ def test_general_engine_matches_oracle_on_quadratic_jets():
                    for _ in range(m)]
         frame = sq.QuadraticFrame(entries)
         x0 = rng.uniform(0.4, 1.0, m)
-        sol = sq.taylor_general(frame, x0, 0.0, 14)
+        sol = sq.taylor(frame, x0, 0.0, 14)
         horizon = min(0.4, 0.4 * sol.radius_bound)
         traj = sq.rk4(frame, x0, 0.0, horizon, 1e-4)
         vals, _ = sq.evaluate(sol, horizon)
@@ -373,9 +417,9 @@ def test_root_components_are_independent():
     rng = np.random.default_rng(131)
     frame = random_frame(rng, m_max=3)
     x0 = rng.uniform(0.3, 1.0, frame.dim)
-    joint = sq.taylor_stationary(frame, x0, 10)
+    joint = sq.taylor(frame, x0, 0.0, 10)
     for i in range(1, frame.dim + 1):
-        alone = sq.taylor_stationary(frame, x0, 10, components=[i])
+        alone = sq.taylor(frame, x0, 0.0, 10, components=[i])
         assert np.array_equal(alone.coeffs[0], joint.component_row(i))
 
 
@@ -385,31 +429,25 @@ def test_root_components_are_independent():
 
 def test_zero_component_rejected():
     with pytest.raises(ZeroComponent):
-        sq.taylor_stationary(exp_frame(), [1.0, 0.0], 4)
+        sq.taylor(exp_frame(), [1.0, 0.0], 0.0, 4)
     with pytest.raises(ZeroComponent):
-        sq.taylor_general(exp_frame(), [0.0, 1.0], 0.0, 4)
-
-
-def test_not_stationary_rejected():
-    frame = sq.QuadraticFrame([[t_jet()]])
-    with pytest.raises(NotStationary):
-        sq.taylor_stationary(frame, [1.0], 4)
+        sq.taylor(exp_frame(), [0.0, 1.0], 0.0, 4)
 
 
 def test_order_budget_on_truncated_jets():
     trunc = sq.TimeJet([1.0, 0.5, 0.25], exact=False)  # trusts 2 orders
     frame = sq.QuadraticFrame([[trunc]])
     with pytest.raises(OrderBudget):
-        sq.taylor_general(frame, [1.0], 0.0, 5)
-    sol = sq.taylor_general(frame, [1.0], 0.0, 2)
-    exact = sq.taylor_general(sq.QuadraticFrame([[sq.TimeJet([1.0, 0.5, 0.25])]]),
+        sq.taylor(frame, [1.0], 0.0, 5)
+    sol = sq.taylor(frame, [1.0], 0.0, 2)
+    exact = sq.taylor(sq.QuadraticFrame([[sq.TimeJet([1.0, 0.5, 0.25])]]),
                               [1.0], 0.0, 2)
     assert np.array_equal(sol.coeffs, exact.coeffs)
 
 
 def test_order_cap():
     with pytest.raises(ValueError):
-        sq.taylor_stationary(exp_frame(), [1.0, 1.0], 171)
+        sq.taylor(exp_frame(), [1.0, 1.0], 0.0, 171)
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +468,7 @@ def test_radius_never_exceeds_root_test_estimate():
     for _ in range(10):
         frame = random_frame(rng)
         x0 = rng.uniform(0.2, 1.0, frame.dim)
-        sol = sq.taylor_stationary(frame, x0, 30)
+        sol = sq.taylor(frame, x0, 0.0, 30)
         rbar = sol.radius_bound
         if rbar == float("inf"):
             continue
@@ -463,7 +501,7 @@ def test_envelope_dominates_series_values():
     for _ in range(10):
         frame = random_frame(rng)
         x0 = rng.uniform(0.2, 1.0, frame.dim)
-        sol = sq.taylor_stationary(frame, x0, 25)
+        sol = sq.taylor(frame, x0, 0.0, 25)
         rbar = sol.radius_bound
         horizon = min(rbar, 10.0)
         for frac in (0.1, 0.5, 0.9):
@@ -478,21 +516,21 @@ def test_envelope_dominates_series_values():
 # --------------------------------------------------------------------------
 
 def test_evaluate_at_center_is_exact():
-    sol = sq.taylor_stationary(exp_frame(), [2.5, 1.0], 10)
+    sol = sq.taylor(exp_frame(), [2.5, 1.0], 0.0, 10)
     vals, err = sq.evaluate(sol, 0.0)
     assert vals.tolist() == [2.5, 1.0]
     assert err.tolist() == [0.0, 0.0]
 
 
 def test_evaluate_exponential_at_one():
-    sol = sq.taylor_stationary(exp_frame(1.0), [1.0, 1.0], 20)
+    sol = sq.taylor(exp_frame(1.0), [1.0, 1.0], 0.0, 20)
     with pytest.warns(RadiusWarning):
         vals, _ = sq.evaluate(sol, 1.0)
     assert abs(vals[0] - np.e) < 1e-9
 
 
 def test_evaluate_geometric_series():
-    sol = sq.taylor_stationary(sq.QuadraticFrame([[1.0]]), [1.0], 30)
+    sol = sq.taylor(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 30)
     vals, err = sq.evaluate(sol, 0.5)
     assert abs(vals[0] - 2.0) < 1e-6
     assert err[0] == pytest.approx(0.5 ** 30)
@@ -514,8 +552,20 @@ def test_evaluate_on_array_equals_scalar_calls_bitwise():
     assert sq.evaluate(sol, np.array([]))[0].shape == (0, 2)
 
 
+def test_evaluate_where_the_power_overflows():
+    """|t - t0|^K beyond the float range reads inf in the estimate, in the
+    scalar and the array form alike."""
+    sol = sq.taylor(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 100)  # a_K = 1
+    with pytest.warns(RadiusWarning):
+        vals, err = sq.evaluate(sol, 1e5)
+        arr_vals, arr_err = sq.evaluate(sol, np.array([1e5, -1e5]))
+    assert err[0] == math.inf
+    assert np.array_equal(arr_vals[0], vals) and np.array_equal(arr_err[0], err)
+    assert arr_err[1, 0] == math.inf
+
+
 def test_evaluate_on_array_warns_for_one_far_time():
-    sol = sq.taylor_stationary(exp_frame(1.0), [1.0, 1.0], 20)
+    sol = sq.taylor(exp_frame(1.0), [1.0, 1.0], 0.0, 20)
     ts = np.array([0.0, 0.1, 2.0 * sol.radius_bound])
     with pytest.warns(RadiusWarning):
         sq.evaluate(sol, ts)
@@ -572,26 +622,26 @@ def test_continuation_domain_exit():
 # --------------------------------------------------------------------------
 
 def test_observable_unit_exponent_is_identity():
-    sol = sq.taylor_stationary(exp_frame(0.8), [1.0, 1.0], 12)
+    sol = sq.taylor(exp_frame(0.8), [1.0, 1.0], 0.0, 12)
     g = sq.observable_series(sol, {1: 1})
     assert np.allclose(g.coeffs[0], sol.component_row(1))
 
 
 def test_observable_empty_exponents_is_one():
-    sol = sq.taylor_stationary(exp_frame(0.8), [1.0, 1.0], 12)
+    sol = sq.taylor(exp_frame(0.8), [1.0, 1.0], 0.0, 12)
     g = sq.observable_series(sol, {})
     assert g.coeffs[0, 0] == 1.0 and np.all(g.coeffs[0, 1:] == 0.0)
 
 
 def test_observable_square_of_exponential():
-    sol = sq.taylor_stationary(exp_frame(1.0), [1.0, 1.0], 20)
+    sol = sq.taylor(exp_frame(1.0), [1.0, 1.0], 0.0, 20)
     g = sq.observable_series(sol, {1: 2})
     vals, _ = sq.evaluate(g, 0.5)
     assert vals[0] == pytest.approx(np.e, rel=1e-6)
 
 
 def test_observable_negative_exponent_via_reciprocal():
-    sol = sq.taylor_stationary(exp_frame(1.0), [2.0, 1.0], 18)
+    sol = sq.taylor(exp_frame(1.0), [2.0, 1.0], 0.0, 18)
     g = sq.observable_series(sol, {1: -1})
     vals, _ = sq.evaluate(g, 0.3)
     assert vals[0] == pytest.approx(np.exp(-0.3) / 2.0, rel=1e-10)
@@ -599,16 +649,16 @@ def test_observable_negative_exponent_via_reciprocal():
 
 def test_observable_combines_components_from_several_solutions():
     frame = exp_frame(0.6)
-    a = sq.taylor_stationary(frame, [1.5, 1.0], 16, components=[1])
-    b = sq.taylor_stationary(frame, [1.5, 1.0], 16, components=[2])
+    a = sq.taylor(frame, [1.5, 1.0], 0.0, 16, components=[1])
+    b = sq.taylor(frame, [1.5, 1.0], 0.0, 16, components=[2])
     g = sq.observable_series([a, b], {1: 2, 2: 1})
     vals, _ = sq.evaluate(g, 0.4)
     assert vals[0] == pytest.approx((1.5 * np.exp(0.6 * 0.4)) ** 2, rel=1e-9)
 
 
 def test_observable_rejects_mixed_centers_and_fractions():
-    a = sq.taylor_stationary(exp_frame(), [1.0, 1.0], 6, t0=0.0)
-    b = sq.taylor_stationary(exp_frame(), [1.0, 1.0], 6, t0=1.0)
+    a = sq.taylor(exp_frame(), [1.0, 1.0], 0.0, 6)
+    b = sq.taylor(exp_frame(), [1.0, 1.0], 1.0, 6)
     with pytest.raises(MixedCenters):
         sq.observable_series([a, b], {1: 1})
     with pytest.raises(ValueError):

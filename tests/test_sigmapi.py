@@ -5,7 +5,7 @@ import pytest
 
 import spquad as sq
 from spquad import DomainClass
-from spquad.errors import InvalidProjection
+from spquad.errors import DomainViolation, InvalidProjection
 from support import (exdom_ode, exdom_variant, random_sigma_pi,
                      singular_part_expected)
 
@@ -206,3 +206,40 @@ def test_negative_base_odd_denominator_is_defined():
 def test_rhs_evaluation():
     ode = sq.SigmaPiOde(2, [[(2.0, {2: 1})], [(sq.TimeJet([0.0, 1.0]), {1: 2})]])
     assert ode.rhs(3.0, [1.5, 2.0]) == pytest.approx([4.0, 3.0 * 2.25])
+
+
+def _per_term_rhs(ode, t, x):
+    """Reference: per equation, the sum of jet(t) * mono.evaluate(x)."""
+    out = []
+    for eq in ode.equations:
+        acc = 0.0
+        for jet, mono in eq:
+            acc += jet(t) * mono.evaluate(x)
+        out.append(acc)
+    return np.array(out)
+
+
+def test_rhs_equals_per_term_sum_bitwise():
+    ode = sq.SigmaPiOde(3, [
+        [(sq.TimeJet([0.5, -1.0, 0.25], center=0.3), {1: F(1, 3), 2: 2}),
+         (2.0, {1: F(-2, 5)}), (-0.75, {})],
+        [(sq.TimeJet([0.0, 2.0]), {2: F(1, 2), 3: -1}), (1.5, {1: 1.7})],
+        [],
+    ])
+    rng = np.random.default_rng(2024)
+    raised = computed = 0
+    for _ in range(400):
+        t = float(rng.uniform(-2.0, 2.0))
+        x = rng.uniform(-2.0, 2.0, 3)
+        x[rng.random(3) < 0.05] = 0.0
+        try:
+            want = _per_term_rhs(ode, t, x)
+        except DomainViolation:
+            with pytest.raises(DomainViolation):
+                ode.rhs(t, x)
+            raised += 1
+            continue
+        got = ode.rhs(t, list(x))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        computed += 1
+    assert raised > 50 and computed > 50
