@@ -82,7 +82,10 @@ def _meta(args, effective: dict) -> dict:
 
 def _emit(args, payload: dict, csv_rows: list, text: str) -> None:
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True)
+        try:
+            out = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:   # strict JSON has no inf or NaN
+            raise errors.Divergence(f"output is not finite: {exc}") from exc
     elif args.format == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(csv_rows)
@@ -212,6 +215,10 @@ def cmd_series(args) -> int:
     sol = taylor(frame, z0, args.t0, args.order,
                  components=[comps[i] for i in wanted])
     norm = sol.normalized()
+    finite = (np.isfinite(sol.coeffs) & np.isfinite(norm)).all(axis=0)
+    if not finite.all():
+        raise errors.Divergence(f"the coefficients of order {np.argmin(finite)} "
+                                "are the first that are not finite")
     result = {
         "t0": args.t0, "order": args.order,
         "radius_bound": _json_float(sol.radius_bound),

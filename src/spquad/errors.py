@@ -63,7 +63,8 @@ class MixedCenters(SpquadError):
 # --- oracle errors ----------------------------------------------------------
 
 class Blowup(SpquadError):
-    """Reference integration produced a non-finite state."""
+    """Reference integration or the coordinate map produced a non-finite
+    state."""
 
 
 class EmptyWindow(SpquadError):

@@ -17,13 +17,14 @@ the :class:`QuadraticFrame`.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySystem
+from .errors import Blowup, EmptySystem
 from .jets import TimeJet, as_jet
 from .sigmapi import Monomial, SigmaPiOde
 
@@ -316,11 +317,22 @@ def phi_eval(q: Quadratization, x: Sequence[float]) -> np.ndarray:
 
     Raises :class:`DomainViolation` where a generalized power is undefined
     (zero base with negative exponent, negative base with an exponent that
-    is not an integer or odd-denominator rational).
+    is not an integer or odd-denominator rational), and :class:`Blowup`
+    where a coordinate is not finite, a power beyond the float range
+    included.
     """
     if len(x) != q.source.n:
         raise ValueError(f"expected {q.source.n} components, got {len(x)}")
-    return np.array([mono.evaluate(x) for mono in q.phi])
+    z = np.empty(len(q.phi))
+    for s, mono in enumerate(q.phi):
+        try:
+            z[s] = mono.evaluate(x)
+        except OverflowError:   # a power beyond the float range
+            z[s] = math.inf
+        if not math.isfinite(z[s]):
+            raise Blowup(f"driver coordinate {s + 1}, {mono!r}, is not "
+                          "finite at the initial point")
+    return z
 
 
 def driver_type_ode(frame: QuadraticFrame) -> SigmaPiOde:

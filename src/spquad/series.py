@@ -52,6 +52,7 @@ from .jets import TimeJet
 from .quadratize import QuadraticFrame
 
 MAX_ORDER = 170  # float factorials overflow beyond this
+TAIL_EPS = 1e-16  # relative size of the last kept terms the tail step aims at
 # k! for k = 0..MAX_ORDER, each the sequential float product 1 * 2 * ... * k
 _FACTORIALS = np.cumprod(np.r_[1.0, np.arange(1.0, MAX_ORDER + 1.0)])
 
@@ -398,23 +399,42 @@ def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     return vals, err
 
 
+def _tail_step(series: SeriesSolution, x) -> float:
+    """Order-K step of Jorba & Zou (2005): the minimum over components i and
+    j in {K-1, K} (j >= 1) with a_{j,i} != 0 of (eps |x_i| / |a_{j,i}|)^(1/j),
+    a = ``series.normalized()``, eps = ``TAIL_EPS``; inf when all of those
+    coefficients vanish.  Taken per component, not over norms, since driver
+    coordinates may differ by hundreds of orders of magnitude."""
+    K = series.order
+    js = np.arange(max(K - 1, 1), K + 1)
+    tail = np.abs(series.normalized()[:, js])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = (TAIL_EPS * np.abs(np.asarray(x, dtype=float))[:, None] / tail) ** (1.0 / js)
+    return float(np.min(h, where=tail > 0.0, initial=math.inf))
+
+
 def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
                 K: int = 30, theta: float = 0.5, max_steps: int = 200,
                 tail_tol: float = 1e-9) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
     """Analytic continuation by repeated re-expansion.
 
-    Each stage expands at the current center and advances by theta times the
-    local radius bound, or straight to the target when that is closer.  The
-    radius bound is a convergence statement, not a truncation one (and for
-    time-dependent frames it is only local to the center), so a step is
-    additionally halved until the last-kept-term estimate drops below
-    ``tail_tol`` relative to the values.  Fails with :class:`DomainExit`
-    when a component reaches zero, :class:`Divergence` on non-finite values
-    and :class:`StepLimit` when the budget runs out or the step size
-    underflows the time resolution.  Values that grow by 1e9 over the start
-    raise :class:`Divergence`: sustained near-envelope growth means the path
-    is running into a blow-up, where accumulated rounding also corrupts the
-    local radius bound, so stopping beats reporting a finite wrong answer.
+    Each stage expands at the current center and advances by the larger of
+    the tail step :func:`_tail_step` (eps = ``TAIL_EPS``) and theta times
+    the local radius bound, or straight to the target when that is closer;
+    theta is thus the floor of the step as a fraction of the radius bound,
+    and the floor alone applies when the tail step is inf.
+    Neither rule is a truncation guarantee (the radius bound is a
+    convergence statement, and for time-dependent frames only local to the
+    center), so a step is additionally halved until the last-kept-term
+    estimate drops below ``tail_tol`` relative to the values.  The start
+    state and every accepted state, the one at the target included, are
+    checked: :class:`Divergence` on non-finite values or on values that
+    grow by 1e9 over the start (sustained near-envelope growth means the
+    path is running into a blow-up, where accumulated rounding also
+    corrupts the local radius bound, so stopping beats reporting a finite
+    wrong answer), :class:`DomainExit` when a component reaches zero.
+    :class:`StepLimit` is raised when the budget runs out or the step size
+    underflows the time resolution.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
@@ -426,7 +446,8 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
     path: list[tuple[float, np.ndarray]] = []
     if t_target == t:
         return x.copy(), path
-    for _ in range(max_steps):
+
+    def check_state(x, t):
         if not np.all(np.isfinite(x)):
             raise Divergence(f"state became non-finite near t = {t}")
         if np.max(np.abs(x)) > growth_cap:
@@ -435,13 +456,16 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
                 "threshold (approaching a blow-up)")
         if np.any(np.abs(x) <= 1e-12 * scale):
             raise DomainExit(f"a component reached zero near t = {t}")
+
+    check_state(x, t)
+    for _ in range(max_steps):
         series = taylor(frame, x, t, K)
         remaining = t_target - t
-        rbar = series.radius_bound
-        if rbar == float("inf") or theta * rbar >= abs(remaining):
-            step = remaining
-        else:
-            step = np.sign(remaining) * theta * rbar
+        reach = theta * series.radius_bound
+        tail_step = _tail_step(series, x)
+        if tail_step < math.inf:       # all-zero tails keep the floor
+            reach = max(reach, tail_step)
+        step = remaining if reach >= abs(remaining) else np.sign(remaining) * reach
         vals = None
         for _ in range(80):
             t_new = t_target if abs(step) >= abs(remaining) else t + step
@@ -460,10 +484,9 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
         if vals is None:
             raise StepLimit(f"could not control truncation error near t = {t}")
         x, t = vals, t_new
+        check_state(x, t)
         path.append((t, x.copy()))
         if t == t_target:
-            if not np.all(np.isfinite(x)):
-                raise Divergence("value at target is non-finite")
             return x.copy(), path
     raise StepLimit(f"did not reach {t_target} within {max_steps} recenters")
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -388,3 +389,104 @@ def test_check_where_the_series_power_overflows_prints_strict_json(tmp_path, cap
     payload = json.loads(capsys.readouterr().out, parse_constant=reject)
     jsonschema.validate(payload, SCHEMA)
     assert payload["result"]["max_rel"] == 0.0
+
+
+# --------------------------------------------------------------------------
+# solve steps from the coefficient tail
+# --------------------------------------------------------------------------
+
+def test_solve_linear2_to_three_in_few_recenters(capsys):
+    """The tail step takes linear2 to t = 3 in at most 12 recenters (70 with
+    theta times the radius bound alone), to 1e-14 of the matrix exponential."""
+    mpmath = pytest.importorskip("mpmath")
+    code, payload = run_json(capsys, [
+        "solve", str(DATA / "linear2.spode"), "--to", "3", "--x0", "1,0.5",
+        "--format", "json"])
+    assert code == 0
+    res = payload["result"]
+    assert res["recenters"] <= 12
+    with mpmath.workdps(40):
+        A = mpmath.matrix([[0.3, -0.2], [1.0, 0.1]])
+        exact = mpmath.expm(A * 3) * mpmath.matrix([1.0, 0.5])
+        for i in (1, 2):
+            got = mpmath.mpf(res["value"][str(i)])
+            assert abs(got - exact[i - 1]) <= 1e-14 * abs(exact[i - 1])
+
+
+def test_solve_linear2_to_five_stops_where_x1_crosses_zero(capsys):
+    """exp(A t) x0 puts x1 through zero at t ~ 3.604, where the driver
+    coordinate x2/x1 blows up: t = 5 is out of reach, and solve says so
+    with a typed error before t = 3.7 instead of running out of recenters."""
+    code = main(["solve", str(DATA / "linear2.spode"), "--to", "5",
+                 "--x0", "1,0.5"])
+    assert code in (3, 4)
+    err = capsys.readouterr().err
+    assert "recenters" not in err
+    t_stop = float(re.search(r"near t = (\S+)", err).group(1).rstrip(")"))
+    assert 3.5 < t_stop < 3.7
+
+
+def test_solve_riccati_at_low_order_keeps_its_recenters(tmp_path, capsys):
+    """The step is never below theta times the radius bound: x' = x^2 from
+    -2 to 2 at order 10 needs no more than its 24 recenters of that rule."""
+    p = tmp_path / "quadratic.spode"
+    p.write_text("x1' = x1^2\n")
+    code, payload = run_json(capsys, [
+        "solve", str(p), "--to", "2", "--x0", "-2", "--order", "10",
+        "--format", "json"])
+    assert code == 0
+    assert payload["result"]["recenters"] <= 24
+    assert abs(payload["result"]["value"]["1"] + 0.4) < 1e-8
+
+
+def test_solve_checks_the_state_it_lands_on(tmp_path, capsys):
+    """x1' = -x2 x1 with x2 = 1e-3 takes x1 from 1e-300 to 6.7e-313 at
+    t = 28000, below the zero threshold 1e-12 |x1(0)|: a domain exit, also
+    when the target is where the path ends."""
+    p = tmp_path / "decay.frame"
+    p.write_text("0 -1\n0 0\n")
+    code = main(["solve", str(p), "--x0", "1e-300,1e-3", "--to", "28000",
+                 "--format", "json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DomainExit" in captured.err
+
+
+# --------------------------------------------------------------------------
+# non-finite numbers end in typed errors, never in non-strict JSON
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["series", "--order", "3"],
+    ["solve", "--order", "3", "--to", "0.1"],
+])
+def test_overflowing_initial_coordinate_is_a_blowup(command, tmp_path, capsys):
+    p = tmp_path / "p400.spode"
+    p.write_text("x1' = x1^400\n")
+    code = main(command[:1] + [str(p), "--x0", "10", "--format", "json"]
+                + command[1:])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Blowup" in captured.err and "coordinate 1" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_series_with_overflowing_coefficients_names_the_order(fmt, capsys):
+    code = main(["series", str(DATA / "vex.frame"), "--order", "170",
+                 "--x0", "1e10,1e10", "--format", fmt])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Divergence" in captured.err and "order 52 " in captured.err
+
+
+def test_non_finite_json_output_is_a_numeric_error(capsys):
+    """The series overflows, so check's relative errors are NaN: JSON output
+    refuses them with exit 4 instead of printing NaN."""
+    code = main(["check", str(DATA / "vex.frame"), "--order", "170",
+                 "--x0", "1e10,1e10", "--window=0,1e-10", "--step", "1e-11",
+                 "--format", "json"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Divergence" in captured.err

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spquad as sq
 from spquad.errors import (BadExponent, DuplicateEquation, NonSquare,
@@ -206,3 +207,51 @@ def test_frame_round_trip():
         text = sq.serialize_frame(frame)
         assert sq.parse_frame(text) == frame
         assert sq.serialize_frame(sq.parse_frame(text)) == text
+
+
+# --------------------------------------------------------------------------
+# generated round trips (hypothesis, derandomized so every run draws alike)
+# --------------------------------------------------------------------------
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=150)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def jets(draw):
+    """A constant or a poly(...) jet of degree up to 3."""
+    return sq.TimeJet(draw(st.lists(FLOATS, min_size=1, max_size=4)))
+
+
+@st.composite
+def frames(draw):
+    m = draw(st.integers(1, 4))
+    return sq.QuadraticFrame([[draw(jets()) for _ in range(m)] for _ in range(m)])
+
+
+EXPONENTS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@st.composite
+def systems(draw):
+    """Systems with integer and exact rational exponents."""
+    n = draw(st.integers(1, 4))
+    monomials = st.dictionaries(st.integers(1, n), EXPONENTS, max_size=n)
+    terms = st.lists(st.tuples(jets(), monomials.map(sq.Monomial)), max_size=3)
+    return sq.SigmaPiOde(n, [draw(terms) for _ in range(n)])
+
+
+@DETERMINISTIC
+@given(frames())
+def test_frame_round_trip_generated(frame):
+    assert sq.parse_frame(sq.serialize_frame(frame)) == frame
+
+
+@DETERMINISTIC
+@given(systems())
+def test_ode_round_trip_generated(ode):
+    text = sq.serialize_ode(ode)
+    assert sq.serialize_ode(sq.parse_ode(text)) == text

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spquad as sq
-from spquad.errors import DomainViolation, EmptySystem
+from spquad.errors import Blowup, DomainViolation, EmptySystem
 from spquad.parse import monomial_text
 from support import (airy_first_order, airy_frame_expected, airy_series,
                      five_monomial_ode, fixture_frame, random_frame,
@@ -171,6 +171,19 @@ def test_phi_eval_rejects_undefined_powers():
         sq.SigmaPiOde(1, [[(1.0, {1: F(1, 2)})]]))   # phi = x^{-1/2}
     with pytest.raises(DomainViolation):
         sq.phi_eval(q2, [-1.0])
+
+
+def test_phi_eval_overflow_is_a_blowup():
+    # phi_1 = x1^399 overflows math.pow at x1 = 10
+    q = sq.quadratize_inclusive(sq.parse_ode("x1' = x1^400\n"))
+    with pytest.raises(Blowup, match="coordinate 1"):
+        sq.phi_eval(q, [10.0])
+    assert sq.phi_eval(q, [1.5])[0] == pytest.approx(1.5 ** 399)
+    # each power is finite, their product is not
+    q2 = sq.quadratize_canonical(
+        sq.SigmaPiOde(2, [[(1.0, {1: 151, 2: 150})], [(1.0, {2: 1})]]))
+    with pytest.raises(Blowup):
+        sq.phi_eval(q2, [100.0, 100.0])
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import spquad as sq
 from spquad.errors import (Divergence, DomainExit, MixedCenters,
                            OrderBudget, StepLimit, ZeroComponent)
-from spquad.series import RadiusWarning
+from spquad.series import RadiusWarning, _tail_step
 from support import (airy_first_order, airy_frame_expected, airy_series,
                      cauchy_exact, fixture_frame, ordered_string_ck,
                      random_frame, random_jet_frame)
@@ -615,6 +616,101 @@ def test_continuation_domain_exit():
     frame = sq.QuadraticFrame([[0.0, -1.0], [0.0, 0.0]])
     with pytest.raises((DomainExit, StepLimit)):
         sq.continue_to(frame, [1e-300, 1.0], 0.0, 60.0, K=20, max_steps=500)
+
+
+def _tail_step_per_component(series, x):
+    """Reference: min over components i and j in {K-1, K} with a_{j,i} != 0
+    of (1e-16 |x_i| / |a_{j,i}|)^(1/j); inf when no such coefficient."""
+    a = series.normalized()
+    K = series.order
+    best = math.inf
+    for i in range(len(x)):
+        for j in (K - 1, K):
+            if j >= 1 and a[i, j] != 0.0:
+                best = min(best, (1e-16 * abs(x[i]) / abs(a[i, j])) ** (1.0 / j))
+    return best
+
+
+def test_tail_step_is_the_per_component_minimum():
+    rng = np.random.default_rng(61)
+    cases = [(fixture_frame(DATA / name), None)
+             for name in ("vex.frame", "ex4_variant.frame", "linear2.spode")]
+    cases += [(random_frame(rng, m_max=4, zero_column=True), None) for _ in range(8)]
+    cases += [(random_jet_frame(rng, center=0.25), None) for _ in range(8)]
+    # driver coordinates hundreds of orders of magnitude apart
+    cases.append((sq.QuadraticFrame([[0.0, -1.0], [0.0, 0.0]]), [1e-300, 1.0]))
+    for frame, x in cases:
+        x = rng.uniform(0.5, 1.5, frame.dim) if x is None else np.array(x)
+        for K in (1, 2, 10, 30):
+            sol = sq.taylor(frame, x, 0.1, K)
+            want = _tail_step_per_component(sol, x)
+            assert _tail_step(sol, x) == pytest.approx(want, rel=1e-14)
+    # the small component decides: over norms the step would be ~1e15
+    sol = sq.taylor(cases[-1][0], [1e-300, 1.0], 0.0, 20)
+    assert _tail_step(sol, [1e-300, 1.0]) < 2.0
+
+
+def test_tail_step_of_an_all_zero_tail_is_inf():
+    zero = sq.taylor(sq.QuadraticFrame([[0.0, 0.0], [0.0, 0.0]]), [1.0, 2.0], 0.0, 12)
+    assert _tail_step(zero, [1.0, 2.0]) == math.inf
+    assert _tail_step(sq.taylor(exp_frame(), [1.0, 1.0], 0.0, 0), [1.0, 1.0]) == math.inf
+
+
+def test_all_zero_tail_keeps_the_radius_floor():
+    """x' = (x1 - x2) x at x1 = x2 is at rest, so every coefficient past a_0
+    vanishes and the tail step is inf; the steps stay theta * r_bar = 0.25."""
+    frame = sq.QuadraticFrame([[1.0, -1.0], [1.0, -1.0]])
+    value, path = sq.continue_to(frame, [1.0, 1.0], 0.0, 1.0, K=12)
+    assert value.tolist() == [1.0, 1.0]
+    assert [t for t, _ in path] == [0.25, 0.5, 0.75, 1.0]
+
+
+def _theta_rbar_path(frame, x0, t0, T, K, theta=0.5, tail_tol=1e-9):
+    """Reference: the step theta * r_bar, halved until the tail check holds."""
+    x, t, path = np.asarray(x0, dtype=float), float(t0), []
+    while t != T:
+        sol = sq.taylor(frame, x, t, K)
+        remaining = T - t
+        reach = theta * sol.radius_bound
+        step = remaining if reach >= abs(remaining) else np.sign(remaining) * reach
+        while True:
+            t_new = T if abs(step) >= abs(remaining) else t + step
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RadiusWarning)
+                vals, err = sq.evaluate(sol, t_new)
+            if np.all(np.isfinite(vals)) and np.max(err / np.abs(vals)) <= tail_tol:
+                break
+            step *= 0.5
+        x, t = vals, t_new
+        path.append((t, x.copy()))
+    return x, path
+
+
+@pytest.mark.parametrize("a, x0, T", [
+    (1.0, -2.0, 2.0), (-0.75, 1.25, 3.2), (0.5, 1.5, 0.9), (-1.0, -0.5, -1.5)])
+def test_riccati_steps_equal_the_radius_rule_bitwise(a, x0, T):
+    """On x' = a x^2 the radius bound is the true radius and the tail step
+    (about 0.28 r_bar at K = 30) lies below theta * r_bar = 0.5 r_bar."""
+    frame = sq.QuadraticFrame([[a]])
+    value, path = sq.continue_to(frame, [x0], 0.0, T, K=30)
+    want_value, want_path = _theta_rbar_path(frame, [x0], 0.0, T, 30)
+    assert np.array_equal(value, want_value)
+    assert [t for t, _ in path] == [t for t, _ in want_path]
+    assert all(np.array_equal(x, w) for (_, x), (_, w) in zip(path, want_path))
+
+
+def test_strict_tail_tolerance_halves_and_succeeds():
+    frame = exp_frame(1.0)
+    _, loose = sq.continue_to(frame, [1.0, 1.0], 0.0, 2.0, K=20)
+    value, strict = sq.continue_to(frame, [1.0, 1.0], 0.0, 2.0, K=20,
+                                   tail_tol=1e-20)
+    assert len(strict) > len(loose)
+    assert value[0] == pytest.approx(np.exp(2.0), rel=1e-13)
+
+
+def test_zero_tail_tolerance_runs_out_of_halvings():
+    with pytest.raises(StepLimit):
+        sq.continue_to(exp_frame(1.0), [1.0, 1.0], 0.0, 2.0, K=20, tail_tol=0.0)
 
 
 # --------------------------------------------------------------------------
