@@ -304,8 +304,16 @@ def cmd_check(args) -> int:
         warnings.simplefilter("ignore", RadiusWarning)
         vals, _ = evaluate(sol, sampled.times)
     series = Trajectory(sampled.times, vals[:, sel], {"order": args.order})
+    finite = np.isfinite(series.states).all(axis=1)
+    if not finite.all():
+        raise errors.Divergence("the series is not finite at t = "
+                                f"{series.times[np.argmin(finite)]}")
     report = compare(series.at, sampled, (a, b),
                      t0=args.t0, radius=sol.radius_bound)
+    if not (math.isfinite(report.max_rel) and math.isfinite(report.rms_rel)):
+        raise errors.Divergence("the relative error of the series is not "
+                                f"finite (max {report.max_rel}, "
+                                f"rms {report.rms_rel})")
     result = {
         "window": [a, b],
         "max_rel": report.max_rel,

@@ -163,9 +163,10 @@ class SigmaPiOde:
     equation.  ``n == 0`` is allowed and represents the fully projected zero
     system produced by the decomposition cascade.
 
-    :meth:`rhs` reads a form built once, at construction: per term the
-    coefficient (a float when constant, else its jet) and the monomial's
-    ``(0-based index, exponent, exact rational or None)`` factors.
+    :meth:`rhs_list` (and :meth:`rhs`, which wraps it) reads a form built
+    once, at construction: per term the coefficient (a float when constant,
+    else its jet) and the monomial's ``(0-based index, exponent, exact
+    rational or None)`` factors.
     """
 
     __slots__ = ("n", "equations", "_terms")
@@ -214,7 +215,10 @@ class SigmaPiOde:
 
     def rhs(self, t: float, x: Sequence[float]) -> np.ndarray:
         """Evaluate the right-hand side at (t, x), summing terms in order."""
-        xs = np.asarray(x, dtype=float).tolist()
+        return np.array(self.rhs_list(t, np.asarray(x, dtype=float).tolist()))
+
+    def rhs_list(self, t: float, xs: list[float]) -> list[float]:
+        """:meth:`rhs` on a list of floats, returning a list of floats."""
         out = []
         for terms in self._terms:
             acc = 0.0
@@ -222,9 +226,10 @@ class SigmaPiOde:
                 mono = 1.0
                 for j, value, rat in powers:
                     mono *= real_pow(xs[j], value, rat)
-                acc += (coeff if type(coeff) is float else coeff(t)) * mono
+                acc += (coeff if type(coeff) is float
+                        else float(coeff(t))) * mono
             out.append(acc)
-        return np.array(out)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, SigmaPiOde):

@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import spquad as sq
@@ -490,3 +491,32 @@ def test_non_finite_json_output_is_a_numeric_error(capsys):
     assert code == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "Divergence" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_check_with_a_non_finite_series_is_a_divergence(fmt, capsys):
+    """The series overflows (order 52 of vex.frame at x0 = 1e10): every
+    format ends with exit 4 instead of printing nan."""
+    code = main(["check", str(DATA / "vex.frame"), "--order", "170",
+                 "--x0", "1e10,1e10", "--window=0,1e-10", "--step", "1e-11",
+                 "--format", fmt])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Divergence: the series is not finite at t = 0.0" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_check_with_an_overflowing_error_is_a_divergence(fmt, tmp_path, capsys):
+    """x' = x^2 from -1 is -1/(1+t); at t = 10, far beyond the radius 1,
+    the order-170 series is about 1e170, so its squared relative error
+    overflows and the RMS is inf: exit 4 in every format."""
+    p = tmp_path / "square.frame"
+    p.write_text("1\n")
+    with np.errstate(over="ignore"):
+        code = main(["check", str(p), "--order", "170", "--x0=-1",
+                     "--window=0,10", "--step", "1e-2", "--format", fmt])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Divergence: the relative error of the series is not finite" in captured.err
