@@ -9,7 +9,10 @@ Inputs are ``.spode`` equation files or ``.frame`` matrix files; monomial
 systems run through the inclusive quadratization pipeline automatically.
 Outputs are text, JSON (validating against ``schemas/cli_output.schema.json``)
 or CSV.  Exit codes: 0 ok, 2 parse/usage (including unreadable files and bad
-``--config`` values), 3 domain, 4 numeric.
+``--config`` values), 3 domain, 4 numeric.  A ``--config`` value passes the
+same converter and checks as its flag: integer options accept only integers,
+``--step`` must be finite and > 0, and ``--x0``/``--window`` reject empty
+fields.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ _DOMAIN_ERRORS = (errors.ContradictoryDomain, errors.InvalidProjection,
                   errors.ZeroComponent, errors.EmptySystem)
 _NUMERIC_ERRORS = (errors.Blowup, errors.Divergence, errors.StepLimit,
                    errors.OrderBudget, errors.EmptyWindow, errors.MixedCenters)
-
-
-def _floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
 
 
 def _read(path: str) -> str:
@@ -197,15 +196,14 @@ def _series_common(args):
     """The input, then a uniform view of it: a frame, the driver initial
     point, and the component map back to the caller's coordinates."""
     kind, obj = _load_input(args.input)
-    x0 = _floats(args.x0) if args.x0 else None
     n = obj.dim if kind == "frame" else obj.n
-    if x0 is None or len(x0) != n:
+    if args.x0 is None or len(args.x0) != n:
         raise errors.DomainViolation(f"--x0 must supply {n} components")
     if kind == "frame":
-        return (kind, obj, obj, np.asarray(x0, dtype=float),
+        return (kind, obj, obj, np.asarray(args.x0, dtype=float),
                 {i: i for i in range(1, n + 1)})
     q = quadratize_inclusive(obj)
-    return (kind, obj, driver_frame(q), phi_eval(q, x0),
+    return (kind, obj, driver_frame(q), phi_eval(q, args.x0),
             {i: q.identity[i] for i in range(1, n + 1)})
 
 
@@ -273,13 +271,13 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     kind, obj, frame, z0, comps = _series_common(args)
-    a, b = _floats(args.window)
+    a, b = args.window
     sol = taylor(frame, z0, args.t0, args.order)
     wanted = sorted(comps)
     sel = [comps[i] - 1 for i in wanted]
     if kind == "ode":
         reference = obj          # integrate the original monomial system
-        ref_x0 = _floats(args.x0)
+        ref_x0 = args.x0
     else:
         reference = frame
         ref_x0 = z0
@@ -350,33 +348,77 @@ def _json_float(v: float):
 # argument plumbing
 # --------------------------------------------------------------------------
 
+def _rule(parse, holds, rule: str):
+    """An option's converter, used by its flag and its --config value: the
+    typed value of the text, or ArgumentTypeError if it breaks the rule."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}")
+    return convert
+
+
+_FINITE = _rule(float, math.isfinite, "a finite number")
+_COUNT = _rule(int, lambda k: k >= 1, "an integer >= 1")
+_OPTIONS = {
+    "order": _rule(int, lambda k: 0 <= k <= MAX_ORDER,
+                   f"an integer in [0, {MAX_ORDER}]"),
+    "t0": _FINITE,
+    "to": _FINITE,
+    "theta": _rule(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]"),
+    "max_steps": _COUNT,
+    "samples": _COUNT,
+    "step": _rule(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    # float("") raises, so an empty field is rejected
+    "x0": _rule(lambda text: [float(p) for p in text.split(",")],
+                lambda v: all(map(math.isfinite, v)),
+                "comma-separated finite numbers"),
+    "window": _rule(lambda text: tuple(float(p) for p in text.split(",")),
+                    lambda v: len(v) == 2 and all(map(math.isfinite, v)),
+                    "two finite numbers a,b"),
+}
+# Each command's options in --help order, with the value used when neither
+# a flag nor --config sets one (None: no default).
+_DEFAULTS = {
+    "series": {"order": 16, "t0": 0.0, "x0": None},
+    "solve": {"to": None, "theta": 0.5, "order": 30, "max_steps": 200,
+              "t0": 0.0, "x0": None},
+    "check": {"window": None, "step": 1e-4, "order": 16, "t0": 0.0,
+              "x0": None, "samples": 200},
+}
+_HELP = {"x0": "comma-separated initial values",
+         "window": "a,b comparison window",
+         "step": "RK4 step size",
+         "samples": "max comparison samples across the window"}
+
+
 def _apply_config(args) -> None:
-    """Fill unset options from the --config JSON file; flags win."""
-    defaults = {"order": 30 if args.command == "solve" else 16,
-                "t0": 0.0, "theta": 0.5, "step": 1e-4,
-                "max_steps": 200, "samples": 200}
+    """Fill each option no flag set from the --config JSON file, through
+    the flag's converter, else from the command's default; flags win."""
     cfg = {}
     if args.config:
         try:
             cfg = json.loads(_read(args.config))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also an integer beyond int's digit limit
             raise errors.UsageError(
                 f"config {args.config} is not JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise errors.UsageError(f"config {args.config} is not a JSON object")
     try:
-        for key, fallback in defaults.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, type(fallback)(cfg.get(key, fallback)))
-        for key in ("x0", "window", "to"):
-            if hasattr(args, key) and getattr(args, key) is None and key in cfg:
-                value = cfg[key]
-                if isinstance(value, list):
-                    value = ",".join(repr(float(v)) for v in value)
-                setattr(args, key, str(value) if key != "to" else float(value))
-    except (TypeError, ValueError, OverflowError):
-        raise errors.UsageError(f"config {args.config}: {key!r} has the "
-                                f"invalid value {cfg[key]!r}") from None
+        for key, default in _DEFAULTS.get(args.command, {}).items():
+            value = cfg.get(key)
+            if key in ("x0", "window") and isinstance(value, list):
+                value = ",".join(map(json.dumps, value))
+            if getattr(args, key) is None:
+                setattr(args, key, _OPTIONS[key](str(value)) if key in cfg
+                        else default)
+    except argparse.ArgumentTypeError as exc:
+        raise errors.UsageError(f"config {args.config}: {key!r} {exc}, "
+                                f"not {json.dumps(cfg[key])}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,51 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "as power series.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, help_text in (
+            ("analyze", cmd_analyze, "domain, structure and decomposition"),
+            ("quadratize", cmd_quadratize, "construct a quadratization"),
+            ("series", cmd_series, "Taylor coefficient table"),
+            ("solve", cmd_solve, "value at a target time via recentering"),
+            ("check", cmd_check, "compare series against RK4 reference")):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("input", help=".spode or .frame file")
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="text")
         p.add_argument("--output", help="write to this path instead of stdout")
         p.add_argument("--config", help="JSON file with default options")
-
-    p = sub.add_parser("analyze", help="domain, structure and decomposition")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("quadratize", help="construct a quadratization")
-    common(p)
+        for key in _DEFAULTS.get(name, ()):
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=_OPTIONS[key], help=_HELP.get(key))
+        p.set_defaults(func=func)
+    p = sub.choices["quadratize"]
     p.add_argument("--mode", choices=["canonical", "inclusive", "inverse"],
                    default="inclusive")
     p.add_argument("--frame-out", help="also write the frame file here")
-    p.set_defaults(func=cmd_quadratize)
-
-    p = sub.add_parser("series", help="Taylor coefficient table")
-    common(p)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--x0", help="comma-separated initial values")
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("solve", help="value at a target time via recentering")
-    common(p)
-    p.add_argument("--to", type=float, default=None, required=False)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--x0", help="comma-separated initial values")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("check", help="compare series against RK4 reference")
-    common(p)
-    p.add_argument("--window", help="a,b comparison window", default=None)
-    p.add_argument("--step", type=float, default=None, help="RK4 step size")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--x0", help="comma-separated initial values")
-    p.add_argument("--samples", type=int, default=None,
-                   help="max comparison samples across the window")
-    p.set_defaults(func=cmd_check)
     return ap
 
 
@@ -439,38 +456,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _apply_config(args)
-        order = getattr(args, "order", None)
-        if order is not None and not 0 <= order <= MAX_ORDER:
-            ap.error(f"--order must lie in [0, {MAX_ORDER}]")
-        if getattr(args, "step", 1.0) is not None and getattr(args, "step", 1.0) <= 0:
-            ap.error("--step must be > 0")
-        theta = getattr(args, "theta", None)
-        if theta is not None and not 0.0 < theta <= 1.0:
-            ap.error("--theta must lie in (0, 1]")
-        for name in ("max_steps", "samples"):
-            if getattr(args, name, 1) < 1:
-                ap.error(f"--{name.replace('_', '-')} must be >= 1")
         if args.command == "solve" and args.to is None:
             ap.error("solve needs --to (or 'to' in --config)")
-        if args.command == "check" and args.window is None:
-            ap.error("check needs --window (or 'window' in --config)")
-        for name in ("t0", "to"):
-            if not math.isfinite(getattr(args, name, None) or 0.0):
-                ap.error(f"--{name} must be a finite number")
-        for name in ("x0", "window"):
-            text = getattr(args, name, None)
-            if text is None:
-                continue
-            try:
-                values = _floats(text)
-            except ValueError:
-                ap.error(f"--{name} must be comma-separated numbers")
-            if not all(map(math.isfinite, values)):
-                ap.error(f"--{name} must hold finite numbers")
-            if name == "window" and len(values) != 2:
-                ap.error("--window must be two numbers a,b")
         if args.command == "check":
-            a, b = _floats(args.window)
+            if args.window is None:
+                ap.error("check needs --window (or 'window' in --config)")
+            a, b = args.window
             try:
                 step_count(max(args.t0 - a, b - args.t0, 0.0), args.step)
             except ValueError:

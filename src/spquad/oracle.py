@@ -179,7 +179,7 @@ def _rk4_frame(f, x0, times, h, landing):
 
 
 def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
-    """Classical RK4 from t0 to t1 (either direction) with step h > 0.
+    """Classical RK4 from t0 to t1 (either direction) with finite step h > 0.
 
     ``rhs`` is a :class:`QuadraticFrame` or a :class:`SigmaPiOde`.  The
     final step is shortened to land on t1 exactly.  Monomial systems and
@@ -190,8 +190,8 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     evaluation (undefined powers) propagate as
     :class:`~spquad.errors.DomainViolation`.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError("h must be finite and positive")
     x0 = np.asarray(x0, dtype=float)
     kind = type(rhs).__name__
     n, signed_h, landing = _steps(t0, t1, h)
@@ -256,8 +256,10 @@ def compare(series_eval, traj: Trajectory, window: tuple[float, float],
         if radius is not None and t0 is not None and abs(t - t0) >= radius:
             out += 1
     rels = np.array(rels)
+    with np.errstate(over="ignore"):   # relative errors above 1e154: inf RMS
+        rms = float(np.sqrt(np.mean(rels ** 2)))
     return CompareReport(
         max_rel=float(rels.max()),
-        rms_rel=float(np.sqrt(np.mean(rels ** 2))),
+        rms_rel=rms,
         n_samples=len(times),
         out_of_radius=out)

@@ -383,7 +383,7 @@ def serialize_ode(ode: SigmaPiOde) -> str:
 
 def parse_frame(text: str) -> QuadraticFrame:
     """Parse a whitespace/comma matrix of NUMBER or poly(...) entries."""
-    rows = []
+    rows, spans = [], []
     offset = 0
     for line_no, line in enumerate(text.split("\n"), start=1):
         if line.strip():
@@ -399,15 +399,15 @@ def parse_frame(text: str) -> QuadraticFrame:
                 parser.match(",")
                 parser.skip_ws()
             rows.append(row)
+            spans.append(parser.span(0, len(line)))
         offset += len(line) + 1
     if not rows:
         raise OdeSyntaxError("empty frame", SourceSpan(1, 1, 0, 0))
     dim = len(rows)
-    for k, row in enumerate(rows, start=1):
+    for k, (row, span) in enumerate(zip(rows, spans), start=1):
         if len(row) != dim:
             raise NonSquare(
-                f"row {k} has {len(row)} entries; expected {dim}",
-                SourceSpan(k, 1, 0, 0))
+                f"row {k} has {len(row)} entries; expected {dim}", span)
     return QuadraticFrame(rows)
 
 

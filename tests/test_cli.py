@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -318,6 +321,11 @@ DATA = Path(__file__).resolve().parent / "data"
     ["check", "--window=0,1", "--step", "1e-8", "--x0", "1,1"],
     ["solve", "--to", "1", "--x0", "1,1", "--max-steps", "0"],
     ["check", "--window=0,1", "--x0", "1,1", "--samples", "0"],
+    ["series", "--x0", "1,,1"],
+    ["series", "--x0", ""],
+    ["check", "--window=0,,1", "--x0", "1,1"],
+    ["check", "--window=0,1", "--step", "inf", "--x0", "1,1"],
+    ["check", "--window=0,1", "--step", "nan", "--x0", "1,1"],
 ])
 def test_malformed_numbers_are_usage_errors(argv, capsys):
     argv = argv[:1] + [str(DATA / "vex.frame"), "--format", "json"] + argv[1:]
@@ -353,6 +361,22 @@ VEX = str(DATA / "vex.frame")
     ({"a.spode": b"x0' = x1\n"}, ["series", "{tmp}/a.spode", "--x0", "1"]),
     ({"a.spode": b"x1' = x0\n"}, ["series", "{tmp}/a.spode", "--x0", "1"]),
     ({"a.frame": b"1e999 0\n0 1\n"}, ["series", "{tmp}/a.frame", "--x0", "1,1"]),
+    ({"c.json": b'{"order": 2.7}'},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"order": true}'},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"order": 200}'},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"theta": 0}'},
+     ["solve", VEX, "--x0", "1,1", "--to", "1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"step": "inf"}'},
+     ["check", VEX, "--x0", "1,1", "--window=0,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"x0": "1,,1"}'}, ["series", VEX, "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"window": [0]}'},
+     ["check", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"x0": ["1,2"]}'}, ["series", VEX, "--config", "{tmp}/c.json"]),
+    ({"c.json": b'{"order": ' + b"9" * 5000 + b"}"},
+     ["series", VEX, "--x0", "1,1", "--config", "{tmp}/c.json"]),
 ])
 def test_unusable_files_are_usage_errors(files, argv, tmp_path, capsys):
     """Unreadable or invalid input, config and output files exit 2 with a
@@ -364,6 +388,29 @@ def test_unusable_files_are_usage_errors(files, argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, key, flag, value", [
+    (["series", "--x0", "1,1"], "order", "8", 8),
+    (["series", "--x0", "1,1"], "t0", "0.5", 0.5),
+    (["series"], "x0", "1,2", [1, 2]),
+    (["solve", "--x0", "1,1"], "to", "0.1", 0.1),
+    (["solve", "--x0", "1,1", "--to", "0.1"], "theta", "0.25", 0.25),
+    (["solve", "--x0", "1,1", "--to", "0.1"], "max_steps", "50", 50),
+    (["check", "--x0", "1,1"], "window", "-0.1,0.1", [-0.1, 0.1]),
+    (["check", "--x0", "1,1", "--window=0,0.1"], "step", "1e-3", 1e-3),
+    (["check", "--x0", "1,1", "--window=0,0.1"], "samples", "7", 7),
+])
+def test_an_option_as_flag_or_in_config_gives_the_same_result(
+        argv, key, flag, value, tmp_path, capsys):
+    """Flags and --config values pass one converter per option."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    argv = argv[:1] + [VEX, "--format", "json"] + argv[1:]
+    _, by_flag = run_json(capsys, argv + [f"--{key.replace('_', '-')}={flag}"])
+    _, by_config = run_json(capsys, argv + ["--config", str(cfg)])
+    assert by_flag["result"] == by_config["result"]
+    assert by_flag["meta"]["config"] == by_config["meta"]["config"]
 
 
 def test_check_of_overflowing_spode_is_a_blowup(tmp_path, capsys):
@@ -520,3 +567,20 @@ def test_check_with_an_overflowing_error_is_a_divergence(fmt, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Divergence: the relative error of the series is not finite" in captured.err
+
+
+def test_an_overflowing_error_prints_one_line_on_stderr(tmp_path):
+    """Relative errors above 1e154 square past the float range: the RMS is
+    inf without a numpy warning ahead of the one-line Divergence."""
+    p = tmp_path / "square.frame"
+    p.write_text("1\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spquad", "check", str(p), "--order", "170",
+         "--x0=-1", "--window=0,10", "--step", "1e-2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("numeric error: Divergence")

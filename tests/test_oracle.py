@@ -53,6 +53,12 @@ def test_rk4_order_four_convergence():
     assert errs[0] / errs[1] > 12.0  # ~16 for a 4th order method
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1e-3])
+def test_rk4_rejects_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="h must be finite and positive"):
+        sq.rk4(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 1.0, h)
+
+
 def test_rk4_blowup_detected():
     with pytest.raises(Blowup):
         sq.rk4(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 2.0, 1e-3)

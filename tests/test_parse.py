@@ -190,6 +190,15 @@ def test_parse_frame_rejects_non_square():
         sq.parse_frame("0 1 0\n0 0 1\n")
 
 
+def test_non_square_row_carries_the_span_of_its_own_line():
+    text = "\n\n1 2\n3\n"
+    with pytest.raises(NonSquare) as err:
+        sq.parse_frame(text)
+    span = err.value.span
+    assert (span.line, span.column, span.start, span.end) == (4, 1, 6, 7)
+    assert text[span.start:span.end] == "3"
+
+
 def test_frame_round_trip():
     rng = np.random.default_rng(73)
     for _ in range(20):
