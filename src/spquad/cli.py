@@ -8,11 +8,12 @@ continuation to a target time) and ``check`` (series vs RK4 reference).
 Inputs are ``.spode`` equation files or ``.frame`` matrix files; monomial
 systems run through the inclusive quadratization pipeline automatically.
 Outputs are text, JSON (validating against ``schemas/cli_output.schema.json``)
-or CSV.  Exit codes: 0 ok, 2 parse/usage (including unreadable files and bad
-``--config`` values), 3 domain, 4 numeric.  A ``--config`` value passes the
-same converter and checks as its flag: integer options accept only integers,
-``--step`` must be finite and > 0, and ``--x0``/``--window`` reject empty
-fields.
+or CSV.  Exit codes: 0 ok, then one per category of :mod:`spquad.errors`:
+2 parse/usage (unreadable files, bad ``--config`` values, missing or
+wrong-count options, a ``check`` window or step out of bounds), 3 domain,
+4 numeric.  A ``--config`` value passes the same converter and checks as
+its flag: integer options accept only integers, ``--step`` must be finite
+and > 0, and ``--x0``/``--window`` reject empty fields.
 """
 
 from __future__ import annotations
@@ -36,14 +37,6 @@ from .quadratize import (driver_frame, inverse_driver, inverse_joint_frame,
                          phi_eval, quadratize_canonical, quadratize_inclusive)
 from .series import MAX_ORDER, RadiusWarning, continue_to, evaluate, taylor
 from .sigmapi import analyze_domain, decompose_global, structure
-
-_PARSE_ERRORS = (errors.OdeSyntaxError,)
-_DOMAIN_ERRORS = (errors.ContradictoryDomain, errors.InvalidProjection,
-                  errors.DomainViolation, errors.DomainExit,
-                  errors.ZeroComponent, errors.EmptySystem)
-_NUMERIC_ERRORS = (errors.Blowup, errors.Divergence, errors.StepLimit,
-                   errors.OrderBudget, errors.EmptyWindow, errors.MixedCenters)
-
 
 def _read(path: str) -> str:
     try:
@@ -197,8 +190,8 @@ def _series_common(args):
     point, and the component map back to the caller's coordinates."""
     kind, obj = _load_input(args.input)
     n = obj.dim if kind == "frame" else obj.n
-    if args.x0 is None or len(args.x0) != n:
-        raise errors.DomainViolation(f"--x0 must supply {n} components")
+    if len(args.x0) != n:
+        raise errors.UsageError(f"--x0 must supply {n} components")
     if kind == "frame":
         return (kind, obj, obj, np.asarray(args.x0, dtype=float),
                 {i: i for i in range(1, n + 1)})
@@ -270,8 +263,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    kind, obj, frame, z0, comps = _series_common(args)
     a, b = args.window
+    if not (a < args.t0 or b > args.t0):
+        raise errors.UsageError("--window must extend beyond t0")
+    try:
+        step_count(max(args.t0 - a, b - args.t0), args.step)
+    except ValueError:
+        raise errors.UsageError(f"--step must cover each side of t0 in at most "
+                                f"{MAX_STEPS} RK4 steps") from None
+    kind, obj, frame, z0, comps = _series_common(args)
     sol = taylor(frame, z0, args.t0, args.order)
     wanted = sorted(comps)
     sel = [comps[i] - 1 for i in wanted]
@@ -288,8 +288,6 @@ def cmd_check(args) -> int:
     if b > args.t0:
         fwd = rk4(reference, ref_x0, args.t0, b, args.step)
         pieces.append((fwd.times, fwd.states))
-    if not pieces:
-        raise errors.EmptyWindow("window does not extend beyond t0")
     times = np.concatenate([p[0] for p in pieces])
     states = np.concatenate([p[1] for p in pieces])
     order = np.argsort(times)
@@ -382,7 +380,7 @@ _OPTIONS = {
                     "two finite numbers a,b"),
 }
 # Each command's options in --help order, with the value used when neither
-# a flag nor --config sets one (None: no default).
+# a flag nor --config sets one (None: required).
 _DEFAULTS = {
     "series": {"order": 16, "t0": 0.0, "x0": None},
     "solve": {"to": None, "theta": 0.5, "order": 30, "max_steps": 200,
@@ -398,7 +396,8 @@ _HELP = {"x0": "comma-separated initial values",
 
 def _apply_config(args) -> None:
     """Fill each option no flag set from the --config JSON file, through
-    the flag's converter, else from the command's default; flags win."""
+    the flag's converter, else from the command's default; flags win.  A
+    required option that is still unset is a usage error."""
     cfg = {}
     if args.config:
         try:
@@ -419,6 +418,10 @@ def _apply_config(args) -> None:
     except argparse.ArgumentTypeError as exc:
         raise errors.UsageError(f"config {args.config}: {key!r} {exc}, "
                                 f"not {json.dumps(cfg[key])}") from None
+    for key in _DEFAULTS.get(args.command, {}):
+        if getattr(args, key) is None:
+            raise errors.UsageError(f"{args.command} needs --{key} "
+                                    f"(or {key!r} in --config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,37 +455,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
-        if args.command == "solve" and args.to is None:
-            ap.error("solve needs --to (or 'to' in --config)")
-        if args.command == "check":
-            if args.window is None:
-                ap.error("check needs --window (or 'window' in --config)")
-            a, b = args.window
-            try:
-                step_count(max(args.t0 - a, b - args.t0, 0.0), args.step)
-            except ValueError:
-                ap.error(f"--step must cover each side of t0 in at most "
-                         f"{MAX_STEPS} RK4 steps")
         return args.func(args)
-    except _PARSE_ERRORS as exc:
-        span = getattr(exc, "span", None)
-        loc = (f" (line {span.line}, column {span.column}, "
-               f"bytes {span.start}..{span.end})") if span else ""
-        print(f"parse error: {exc}{loc}", file=sys.stderr)
-        return 2
-    except errors.UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except errors.SpquadError as exc:
+        if isinstance(exc, errors.OdeSyntaxError):
+            code, line = 2, f"parse error: {exc}"
+            if exc.span:
+                line += (f" (line {exc.span.line}, column {exc.span.column}, "
+                         f"bytes {exc.span.start}..{exc.span.end})")
+        elif isinstance(exc, errors.UsageError):
+            code, line = 2, f"usage error: {exc}"
+        elif isinstance(exc, errors.DomainError):
+            code, line = 3, f"domain error: {type(exc).__name__}: {exc}"
+        else:
+            code, line = 4, f"numeric error: {type(exc).__name__}: {exc}"
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from :class:`SpquadError`, so
-callers (and the CLI) can map failures to exit codes without matching on
-message text.  Parse-time errors carry a :class:`~spquad.parse.SourceSpan`.
+Every error raised by the library derives from :class:`SpquadError` and
+each concrete one from exactly one category: :class:`OdeSyntaxError`,
+:class:`UsageError`, :class:`DomainError` or :class:`NumericError`, which
+the CLI maps to exit codes 2, 2, 3 and 4 without matching on message text.
+Parse-time errors carry a :class:`~spquad.parse.SourceSpan`.
 """
 
 from __future__ import annotations
@@ -10,72 +12,6 @@ from __future__ import annotations
 
 class SpquadError(Exception):
     """Base class for all library errors."""
-
-
-# --- structural / domain errors -------------------------------------------
-
-class ContradictoryDomain(SpquadError):
-    """Domain intersection came out empty (internal inconsistency)."""
-
-
-class InvalidProjection(SpquadError):
-    """A retained monomial carries a negative exponent on a dropped index."""
-
-
-class EmptySystem(SpquadError):
-    """Quadratization of a system with no monomials at all."""
-
-
-class DomainViolation(SpquadError):
-    """A generalized power is undefined at the requested point."""
-
-
-# --- series engine errors ---------------------------------------------------
-
-class ZeroComponent(SpquadError):
-    """An initial-value component is zero; the coefficient formulas need x_i != 0."""
-
-
-class OrderBudget(SpquadError):
-    """A truncated coefficient jet cannot supply the needed derivative order."""
-
-
-class OutOfRadius(SpquadError):
-    """Envelope bound requested outside the guaranteed convergence interval."""
-
-
-class DomainExit(SpquadError):
-    """A trajectory component reached zero, leaving the valid domain."""
-
-
-class StepLimit(SpquadError):
-    """Analytic continuation exceeded the recenter-step budget."""
-
-
-class Divergence(SpquadError):
-    """A computed value became non-finite."""
-
-
-class MixedCenters(SpquadError):
-    """Series with different expansion centers were combined."""
-
-
-# --- oracle errors ----------------------------------------------------------
-
-class Blowup(SpquadError):
-    """Reference integration or the coordinate map produced a non-finite
-    state."""
-
-
-class EmptyWindow(SpquadError):
-    """Comparison window contains no trajectory samples."""
-
-
-# --- command-line errors ----------------------------------------------------
-
-class UsageError(SpquadError):
-    """A file the command line names cannot be read or written, or a
-    ``--config`` file is not a JSON object of valid option values."""
 
 
 # --- parse errors -----------------------------------------------------------
@@ -98,3 +34,75 @@ class BadExponent(OdeSyntaxError):
 
 class NonSquare(OdeSyntaxError):
     """Frame matrix rows of unequal length or not square."""
+
+
+# --- usage errors -----------------------------------------------------------
+
+class UsageError(SpquadError):
+    """An option, as a flag or a ``--config`` value, is missing, malformed or
+    beyond its budget, or a file the command line names cannot be used."""
+
+
+# --- domain errors ----------------------------------------------------------
+
+class DomainError(SpquadError):
+    """A generalized power such as x_i^{-1} is undefined where it is needed."""
+
+
+class ContradictoryDomain(DomainError):
+    """Domain intersection came out empty (internal inconsistency)."""
+
+
+class InvalidProjection(DomainError):
+    """A retained monomial carries a negative exponent on a dropped index."""
+
+
+class EmptySystem(DomainError):
+    """Quadratization of a system with no monomials at all."""
+
+
+class DomainViolation(DomainError):
+    """A generalized power is undefined at the requested point."""
+
+
+class ZeroComponent(DomainError):
+    """An initial-value component is zero; the coefficient formulas need x_i != 0."""
+
+
+class DomainExit(DomainError):
+    """A trajectory component reached zero, leaving the valid domain."""
+
+
+# --- numeric errors ---------------------------------------------------------
+
+class NumericError(SpquadError):
+    """A value is not finite, or a budget of orders, steps or radius ran out."""
+
+
+class OrderBudget(NumericError):
+    """A truncated coefficient jet cannot supply the needed derivative order."""
+
+
+class OutOfRadius(NumericError):
+    """Envelope bound requested outside the guaranteed convergence interval."""
+
+
+class StepLimit(NumericError):
+    """Analytic continuation exceeded the recenter-step budget."""
+
+
+class Divergence(NumericError):
+    """A computed value became non-finite."""
+
+
+class MixedCenters(NumericError):
+    """Series with different expansion centers were combined."""
+
+
+class Blowup(NumericError):
+    """Reference integration or the coordinate map produced a non-finite
+    state."""
+
+
+class EmptyWindow(NumericError):
+    """Comparison window contains no trajectory samples."""

@@ -85,11 +85,12 @@ class QuadraticFrame:
 
     def evaluate(self, t: float) -> np.ndarray:
         """V(t) by Horner's rule; for finite t each entry equals its
-        jet(t) bit for bit."""
+        jet(t) bit for bit.  Overflow gives inf without a warning."""
         u = float(t) - self.center
         acc = np.zeros((self.dim, self.dim))
-        for c in self.coeffs[::-1]:
-            acc = acc * u + c
+        with np.errstate(over="ignore"):
+            for c in self.coeffs[::-1]:
+                acc = acc * u + c
         return acc
 
     def rhs(self, t: float, x: Sequence[float]) -> np.ndarray:

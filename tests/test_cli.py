@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spquad as sq
+from spquad import cli, errors
 from spquad.cli import main
 
 SCHEMA = json.loads(
@@ -318,7 +319,6 @@ DATA = Path(__file__).resolve().parent / "data"
     ["check", "--window=0", "--x0", "1,1"],
     ["check", "--window=0,inf", "--x0", "1,1"],
     ["series", "--order", "200", "--x0", "1,1"],
-    ["check", "--window=0,1", "--step", "1e-8", "--x0", "1,1"],
     ["solve", "--to", "1", "--x0", "1,1", "--max-steps", "0"],
     ["check", "--window=0,1", "--x0", "1,1", "--samples", "0"],
     ["series", "--x0", "1,,1"],
@@ -388,6 +388,93 @@ def test_unusable_files_are_usage_errors(files, argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["series", VEX], "usage error: series needs --x0 (or 'x0' in --config)"),
+    (["series", VEX, "--x0", "1"], "usage error: --x0 must supply 2 components"),
+    (["series", VEX, "--x0", "1,1,1"],
+     "usage error: --x0 must supply 2 components"),
+    (["solve", VEX, "--x0", "1,1"],
+     "usage error: solve needs --to (or 'to' in --config)"),
+    (["check", VEX, "--x0", "1,1"],
+     "usage error: check needs --window (or 'window' in --config)"),
+    (["check", VEX, "--x0", "1,1", "--window=0,0"],
+     "usage error: --window must extend beyond t0"),
+    (["check", VEX, "--window=0,1", "--step", "1e-8", "--x0", "1,1"],
+     "usage error: --step must cover each side of t0 in at most 10000000 "
+     "RK4 steps"),
+], ids=["no-x0", "short-x0", "long-x0", "no-to", "no-window", "empty-window",
+        "step-budget"])
+def test_options_missing_or_beyond_their_budget_are_usage_errors(
+        argv, line, capsys):
+    """Options that parse but cannot be used exit 2 with one stderr line."""
+    assert main(argv + ["--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", VEX, "--x0", "1,1", "--t0", "1e308", "--order", "5"],
+    ["check", VEX, "--x0", "1,1", "--t0", "1e308", "--window=0,1.7e308",
+     "--step", "1e307"],
+], ids=["series", "check"])
+def test_an_overflowing_frame_at_t0_is_one_numeric_error(argv, capsys):
+    """V(t0) overflows at t0 = 1e308: the inf it holds ends in a numeric
+    error, with no numpy warning (an error under this suite's filter)."""
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("numeric error:")
+
+
+def _error_classes(cls=errors.SpquadError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+CATEGORIES = {errors.OdeSyntaxError: 2, errors.UsageError: 2,
+              errors.DomainError: 3, errors.NumericError: 4}
+
+
+@pytest.mark.parametrize("cls", sorted(_error_classes(),
+                                        key=lambda c: c.__name__))
+def test_every_error_has_one_category_and_its_exit_code(cls, monkeypatch,
+                                                       capsys):
+    """Each error class descends from exactly one category and leaves
+    main with that category's exit code and one stderr line."""
+    (category,) = [c for c in CATEGORIES if issubclass(cls, c)]
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    assert main(["analyze", "unread.spode"]) == CATEGORIES[category]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.rstrip("\n").endswith("boom")
+
+
+@pytest.mark.parametrize("files, argv, code, line", [
+    ({"bad.spode": "x1' = 3*\n"}, ["analyze", "bad.spode"], 2,
+     "parse error: line 1, column 9: expected a factor after '*' "
+     "(line 1, column 9, bytes 8..8)"),
+    ({"c.json": "[1]"}, ["series", VEX, "--x0", "1,1", "--config", "c.json"],
+     2, "usage error: config c.json is not a JSON object"),
+    ({"neg.spode": "x1' = x1^(-4/3)\n"},
+     ["series", "neg.spode", "--order", "3", "--x0", "0"], 3,
+     "domain error: DomainViolation: zero base with negative exponent"),
+    ({}, ["series", VEX, "--order", "170", "--x0", "1e10,1e10"], 4,
+     "numeric error: Divergence: the coefficients of order 52 are the first "
+     "that are not finite"),
+], ids=["parse", "usage", "domain", "numeric"])
+def test_one_error_per_category_prints_its_line(files, argv, code, line,
+                                                tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
 
 
 @pytest.mark.parametrize("argv, key, flag, value", [
