@@ -49,10 +49,6 @@ class DomainError(SpquadError):
     """A generalized power such as x_i^{-1} is undefined where it is needed."""
 
 
-class ContradictoryDomain(DomainError):
-    """Domain intersection came out empty (internal inconsistency)."""
-
-
 class InvalidProjection(DomainError):
     """A retained monomial carries a negative exponent on a dropped index."""
 

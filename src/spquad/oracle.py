@@ -4,17 +4,21 @@ Deliberately shares no machinery with the series engine so the two can
 cross-check each other.  Accepts both monomial systems and quadratic frames
 as right-hand sides.
 
-Two arithmetic paths step the same RK4 formulas, chosen by the model and
-its dimension:
+One loop steps the RK4 formulas on a list of Python floats, whatever the
+model; :func:`rk4` only chooses the right-hand side ``f(t, x)``, which
+takes and returns such a list:
 
-* Plain Python floats, for every :class:`SigmaPiOde` (through
-  :meth:`SigmaPiOde.rhs_list`) and for constant frames of dimension m <=
-  :data:`D`.  A state of one to a few floats steps several times faster
-  than as a numpy array, whose cost per operation is mostly call overhead.
-  On monomial systems it runs the IEEE operations of the numpy form in the
-  same order, so trajectories are bit for bit those of a numpy loop.
-* numpy arrays, for larger constant frames (``(V @ x) * x``) and for
-  time-dependent frames (their own ``rhs``).
+* a :class:`SigmaPiOde`: :meth:`SigmaPiOde.rhs_list`;
+* a constant frame of dimension m <= :data:`D`: generated float code
+  (below);
+* a larger constant frame: ``(V @ x) * x`` on ``np.array(x)``;
+* a time-dependent frame: its own ``rhs``.
+
+A state of one to a few floats steps several times faster as a list than
+as a numpy array, whose cost per operation is mostly call overhead.  The
+loop runs the IEEE operations of a numpy-vector RK4 in the same order, so
+with the same right-hand side its trajectories are bit for bit those of a
+numpy loop.
 
 A constant frame's float right-hand side is source generated once per
 :func:`rk4` call: one straight-line expression per component with each
@@ -22,24 +26,24 @@ entry written as ``repr(float(V[i, j]))``.  The source holds only such
 reprs because a float repr reads back as the same double (``5e-324``,
 ``1.7976931348623157e+308`` and the sign of ``-0.0`` included), the names
 ``inf`` and ``nan`` are bound to those floats so non-finite entries blow up
-as on the numpy path, and no text of the frame's input reaches the
-source.  Its dot products sum left to right, which may differ from numpy's
+as with ``V @ x``, and no text of the frame's input reaches the source.
+Its dot products sum left to right, which may differ from numpy's
 ``V @ x`` in the last bits.
 
-:data:`D` comes from a per-step sweep of both paths on dense random
-constant frames (2000 steps, 20 interleaved repeats, medians; 2-core shared
-host, Python 3.11, numpy 2.4).  The float path costs 4-6 us a step at m = 1
-to 3 and grows with m**2; numpy costs 15-20 us at any m up to 16.  Float
-over numpy: 0.55 at m = 6, 0.74 at m = 8, 0.83 at m = 9, 1.01 at m = 10,
-1.08 at m = 11, and about 10 at m = 40.
+:data:`D` keeps the generated code where it is the faster right-hand
+side.  Its cost grows with m**2, while ``V @ x`` costs about 23 us a step
+at any m up to 12, mostly call overhead.  A per-step sweep on dense random
+constant frames (2000 steps, 9 interleaved repeats, medians; 2-core shared
+host, Python 3.11, numpy 2.4) read generated over ``V @ x`` as 0.53 at
+m = 6, 0.71 at m = 8, 0.80 at m = 9, 0.94 to 0.98 at m = 10 to 12 and 1.43
+at m = 16.
 
-Both paths stop at the first step whose state is not finite, or whose
-monomial power overflows the float range, and raise :class:`Blowup` naming
-the time of that step.  The float path tests finiteness after every step:
-stepping on from an inf could raise another error, such as an undefined
-power of a negative number.  The numpy path, which raises nothing while
-stepping, tests once per ``_FINITE_CHUNK`` steps and then finds the first
-non-finite state inside the chunk, the same state.
+The loop runs with numpy overflow and invalid values silenced, so a frame
+whose numpy right-hand side overflows gives inf.  It tests finiteness after
+every step and raises :class:`Blowup` naming the time of the first step
+whose state is not finite, or whose monomial power overflows the float
+range: stepping on from an inf could raise another error, such as an
+undefined power of a negative number.
 """
 
 from __future__ import annotations
@@ -53,8 +57,7 @@ from .errors import Blowup, EmptyWindow
 from .sigmapi import SigmaPiOde
 
 MAX_STEPS = 10_000_000
-D = 9               # constant frames up to this dimension step on floats
-_FINITE_CHUNK = 128  # numpy RK4 steps between finiteness tests
+D = 9   # constant frames up to this dimension get generated float code
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,6 @@ class Trajectory:
         """State at the sample closest to t."""
         idx = int(np.argmin(np.abs(self.times - t)))
         return self.states[idx]
-
-    def to_csv(self, path) -> None:
-        m = self.states.shape[1]
-        header = "t," + ",".join(f"x{i}" for i in range(1, m + 1))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                cells = [repr(float(t))] + [repr(float(v)) for v in row]
-                fh.write(",".join(cells) + "\n")
 
 
 def step_count(span: float, h: float) -> int:
@@ -143,52 +137,16 @@ def _rk4_floats(f, x0, times, h, landing):
     return states
 
 
-def _rk4_frame(f, x0, times, h, landing):
-    """RK4 states on numpy arrays; ``f(t, x)`` returns a new array."""
-    n = len(times) - 1
-    states = np.empty((n + 1, len(x0)))
-    states[0] = x0
-    x = x0.copy()
-    t0 = float(times[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, _FINITE_CHUNK):
-            stop = min(start + _FINITE_CHUNK, n)
-            for k in range(start, stop):
-                dt = landing if k == n - 1 else h
-                t = t0 + h * k
-                half = 0.5 * dt
-                k1 = f(t, x)
-                k2 = f(t + half, x + half * k1)
-                k3 = f(t + half, x + half * k2)
-                k4 = f(t + dt, x + dt * k3)
-                # x + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order,
-                # in the fresh arrays f returned
-                k2 *= 2.0
-                k2 += k1
-                k3 *= 2.0
-                k2 += k3
-                k2 += k4
-                k2 *= dt / 6.0
-                k2 += x
-                x = states[k + 1] = k2
-            finite = np.isfinite(states[start + 1:stop + 1]).all(axis=1)
-            if not finite.all():
-                first = start + 1 + int(np.argmin(finite))
-                raise Blowup(f"state non-finite near t = {times[first]}")
-    return states
-
-
 def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical RK4 from t0 to t1 (either direction) with finite step h > 0.
 
     ``rhs`` is a :class:`QuadraticFrame` or a :class:`SigmaPiOde`.  The
-    final step is shortened to land on t1 exactly.  Monomial systems and
-    constant frames of dimension at most :data:`D` step on Python floats,
-    other frames on numpy arrays; the module docstring says why.  Raises
-    :class:`Blowup` at the first step whose state is not finite or whose
-    monomial power overflows the float range; domain errors from monomial
-    evaluation (undefined powers) propagate as
-    :class:`~spquad.errors.DomainViolation`.
+    final step is shortened to land on t1 exactly.  Every model steps in
+    one loop on Python floats; ``rhs`` only selects the right-hand side it
+    calls, as the module docstring lists.  Raises :class:`Blowup` at the
+    first step whose state is not finite or whose monomial power overflows
+    the float range; domain errors from monomial evaluation (undefined
+    powers) propagate as :class:`~spquad.errors.DomainViolation`.
     """
     if not 0.0 < h < math.inf:
         raise ValueError("h must be finite and positive")
@@ -202,16 +160,19 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     times[-1] = t1
 
     if isinstance(rhs, SigmaPiOde):
-        states = _rk4_floats(rhs.rhs_list, x0, times, signed_h, landing)
+        f = rhs.rhs_list
     elif not rhs.is_stationary:
-        states = _rk4_frame(rhs.rhs, x0, times, signed_h, landing)
+        f = lambda t, x: rhs.rhs(t, x).tolist()
     elif rhs.dim <= D:
-        states = _rk4_floats(_frame_rhs_list(rhs.coeffs[0]), x0, times,
-                             signed_h, landing)
+        f = _frame_rhs_list(rhs.coeffs[0])
     else:
         V = rhs.coeffs[0]
-        states = _rk4_frame(lambda t, x: (V @ x) * x, x0, times, signed_h,
-                            landing)
+
+        def f(t, x):
+            xv = np.array(x)
+            return ((V @ xv) * xv).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _rk4_floats(f, x0, times, signed_h, landing)
     return Trajectory(times, states, {"h": h, "rhs": kind})
 
 

@@ -369,23 +369,16 @@ def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     ``t`` is one time or an array of times.  Returns (values, truncation
     estimate), both of shape ``np.shape(t) + (len(series.components),)``,
     the estimate being the magnitude of the last kept term, where a power
-    |t - t0|^K beyond the float range counts as inf.  Each time gets
-    exactly the arithmetic of a scalar call, so the array form equals the
-    stacked scalar calls bit for bit.  Warns once when any time lies outside
-    the radius bound.
+    |t - t0|^K beyond the float range counts as inf.  A scalar ``t`` runs
+    as an array of shape (), so the array form equals the stacked scalar
+    calls bit for bit.  Warns once when any time lies outside the radius
+    bound.
     """
     K = series.order
-    if np.ndim(t) == 0:
-        u = float(t) - series.t0
-        u_K = _power(u, K)
-        far = abs(u) >= series.radius_bound
-    else:
-        u = np.asarray(t, dtype=float)[..., None] - series.t0
-        # Python's float power per time, as in a scalar call; numpy's power
-        # may round differently
-        u_K = np.array([_power(v, K) for v in u.ravel().tolist()]).reshape(u.shape)
-        far = np.any(np.abs(u) >= series.radius_bound)
-    if far:
+    u = np.asarray(t, dtype=float)[..., None] - series.t0
+    # Python's float power per time; numpy's power may round differently
+    u_K = np.array([_power(v, K) for v in u.ravel().tolist()]).reshape(u.shape)
+    if np.any(np.abs(u) >= series.radius_bound):
         warnings.warn(
             f"evaluating at |t - t0| = {np.max(np.abs(u))} outside the "
             f"guaranteed radius {series.radius_bound}", RadiusWarning,

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContradictoryDomain, DomainViolation, InvalidProjection
+from .errors import DomainViolation, InvalidProjection
 from .jets import as_jet
 
 
@@ -319,31 +319,31 @@ class StructureReport:
         return not self.singularity
 
 
-def _domain_bits(ode: SigmaPiOde) -> tuple[list[bool], list[bool]]:
-    """Per-index (allows negative, allows zero) bits from all exponents."""
+def _domain_bits(ode: SigmaPiOde,
+                 inherited: Mapping[int, DomainClass] | None = None
+                 ) -> tuple[list[bool], list[bool]]:
+    """Per-index (allows negative, allows zero) bits from all exponents,
+    narrowed by the classes ``inherited`` assigns to selected indices."""
     neg = [True] * ode.n
     zero = [True] * ode.n
-    for eq in ode.equations:
-        for _, mono in eq:
-            for j, value, rat in mono.items():
-                cneg, czero = _CLASS_BITS[_exponent_case(value, rat)]
-                neg[j - 1] &= cneg
-                zero[j - 1] &= czero
+    cases = [(j, _exponent_case(value, rat))
+             for eq in ode.equations for _, mono in eq
+             for j, value, rat in mono.items()]
+    cases += (inherited or {}).items()
+    for j, cls in cases:
+        cneg, czero = _CLASS_BITS[cls]
+        neg[j - 1] &= cneg
+        zero[j - 1] &= czero
     return neg, zero
 
 
 def analyze_domain(ode: SigmaPiOde) -> DomainDescriptor:
     """Classify every index by intersecting the definedness cases of all
-    exponents that mention it.
-
-    The intersection of the four case regions is never empty, so
-    :class:`ContradictoryDomain` signals an internal inconsistency only.
+    exponents that mention it.  Every pair of bits names one of the four
+    classes, so the intersection is never empty.
     """
     neg, zero = _domain_bits(ode)
     classes = tuple(_BITS_CLASS[(neg[k], zero[k])] for k in range(ode.n))
-    for cls in classes:
-        if cls not in _BITS_CLASS.values():  # pragma: no cover - defensive
-            raise ContradictoryDomain("empty domain intersection")
     macro = tuple(j for j, c in enumerate(classes, start=1)
                   if c in (DomainClass.CLOSED_POSITIVE, DomainClass.OPEN_POSITIVE))
     removed = tuple(j for j, c in enumerate(classes, start=1)
@@ -365,11 +365,7 @@ def structure(ode: SigmaPiOde,
     the decomposition cascade uses it because projecting a system does not
     relax the constraints the deleted monomials imposed.
     """
-    neg, zero = _domain_bits(ode)
-    for j, cls in (inherited or {}).items():
-        cneg, czero = _CLASS_BITS[cls]
-        neg[j - 1] &= cneg
-        zero[j - 1] &= czero
+    neg, zero = _domain_bits(ode, inherited)
     crit = frozenset(
         j for j in range(1, ode.n + 1)
         if _BITS_CLASS[(neg[j - 1], zero[j - 1])] is DomainClass.UNRESTRICTED)
@@ -461,11 +457,7 @@ def decompose_global(ode: SigmaPiOde) -> list[DecompositionStage]:
         drop_orig = frozenset(to_orig[j] for j in report.singularity)
         stages.append(DecompositionStage(
             current, report, drop_orig, dict(to_orig)))
-        neg, zero = _domain_bits(current)
-        for j, cls in inherited.items():
-            cneg, czero = _CLASS_BITS[cls]
-            neg[j - 1] &= cneg
-            zero[j - 1] &= czero
+        neg, zero = _domain_bits(current, inherited)
         current, renumber = project(current, report.singularity)
         inherited = {new: _BITS_CLASS[(neg[old - 1], zero[old - 1])]
                      for old, new in renumber.items()}

@@ -212,10 +212,13 @@ def random_frame(rng: np.random.Generator, m_max: int = 3,
 
 
 def random_jet_frame(rng: np.random.Generator, m_max: int = 4,
-                     center: float = 0.0) -> sq.QuadraticFrame:
+                     center: float = 0.0,
+                     m: int | None = None) -> sq.QuadraticFrame:
     """Frame of jets of mixed degree 0..3 around ``center``: some entries
-    zero, some vanishing only at the center, and one zero column."""
-    m = int(rng.integers(1, m_max + 1))
+    zero, some vanishing only at the center, and one zero column.  The
+    dimension is ``m`` when given, else drawn from 1..m_max."""
+    if m is None:
+        m = int(rng.integers(1, m_max + 1))
     rows = []
     for _ in range(m):
         row = []

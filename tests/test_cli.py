@@ -8,10 +8,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spquad as sq
 from spquad import cli, errors
 from spquad.cli import main
+
+from support import random_frame
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
@@ -36,6 +39,14 @@ def exp_frame_file(tmp_path):
     p = tmp_path / "exp.frame"
     p.write_text("0 1\n0 0\n")
     return p
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_json(capsys, argv):
@@ -517,13 +528,40 @@ def test_check_where_the_series_power_overflows_prints_strict_json(tmp_path, cap
     code = main(["check", str(p), "--window=0,1e5", "--step", "1",
                  "--order", "100", "--x0", "1,1", "--format", "json"])
     assert code == 0
-
-    def reject(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-
-    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    payload = strict_loads(capsys.readouterr().out)
     jsonschema.validate(payload, SCHEMA)
     assert payload["result"]["max_rel"] == 0.0
+
+
+GENERATED_RUNS = {
+    "series": ["--order", "12"],
+    "solve": ["--to", "1.5"],
+    "check": ["--window=-0.3,0.4", "--step", "1e-2", "--order", "10"],
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1),
+       command=st.sampled_from(sorted(GENERATED_RUNS)),
+       scale=st.sampled_from([0.5, 2.0, 8.0, 1e3, 1e10]))
+def test_json_output_of_generated_frames_is_strict(seed, command, scale,
+                                                   tmp_path_factory, capsys):
+    """series, solve and check on random constant frames of dimension 1-3
+    and starts of either sign up to 1e10, where many runs blow up: every
+    run that exits 0 prints strict JSON (no NaN or Infinity) that the
+    output schema accepts."""
+    rng = np.random.default_rng(seed)
+    frame = random_frame(rng, zero_column=True)
+    path = tmp_path_factory.mktemp("gen") / "gen.frame"
+    path.write_text(sq.serialize_frame(frame))
+    x0 = ",".join(map(repr, (scale * rng.uniform(-1.0, 1.0, frame.dim)).tolist()))
+    code = main([command, str(path), f"--x0={x0}", "--format", "json"]
+                + GENERATED_RUNS[command])
+    out = capsys.readouterr().out
+    assert code in (0, 3, 4)
+    if code == 0:
+        jsonschema.validate(strict_loads(out), SCHEMA)
 
 
 # --------------------------------------------------------------------------

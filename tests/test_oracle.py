@@ -9,7 +9,9 @@ import pytest
 import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptyWindow
 from spquad.oracle import D, _frame_rhs_list, step_count
-from spquad.parse import parse_ode
+from spquad.parse import parse_frame, parse_ode
+
+from support import random_jet_frame
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -65,7 +67,7 @@ def test_rk4_blowup_detected():
 
 
 # --------------------------------------------------------------------------
-# the float and numpy paths against a numpy-vector loop written out here
+# the float loop against a numpy-vector loop written out here
 # --------------------------------------------------------------------------
 
 def numpy_rk4(f, x0, t0, t1, h):
@@ -115,6 +117,17 @@ def frame_model(m):
     return sq.QuadraticFrame(V.tolist()), matrix_rhs(V), m
 
 
+def jet_frame_model(m):
+    """The same system with x_i' = (1/2 + t/4) x1 x_i for i > 1: a
+    time-dependent frame whose first component blows up as before."""
+    rows = [[0.0] * m for _ in range(m)]
+    rows[0][0] = 1.0
+    for row in rows[1:]:
+        row[0] = sq.TimeJet([0.5, 0.25])
+    frame = sq.QuadraticFrame(rows)
+    return frame, frame.rhs, m
+
+
 def spode_model():
     """The same system for m = 2, x1^2 a power that raises OverflowError."""
     ode = sq.SigmaPiOde(2, [[(1.0, {1: 2})], [(0.5, {1: 1, 2: 1})]])
@@ -123,6 +136,7 @@ def spode_model():
 
 BLOWUP_MODELS = {
     "float_frame": lambda: frame_model(2),
+    "jet_frame": lambda: jet_frame_model(3),
     "numpy_frame": lambda: frame_model(D + 1),
     "spode": spode_model,
 }
@@ -132,9 +146,10 @@ BLOWUP_MODELS = {
 @pytest.mark.parametrize("row", [1, 127, 128, 129, 256])
 def test_rk4_blowup_is_reported_at_the_step_of_a_per_step_loop(model, row):
     """The first non-finite state (or overflowing power) comes at step
-    ``row``: on the first step, on either side of a 128-step boundary and
-    on the last step of the second 128; rk4 stops there with the message of
-    the per-step reference."""
+    ``row``: the first step, steps 127 to 129 and step 256, so a loop that
+    tested finiteness only once per block of steps would name a later
+    step; rk4 stops at ``row`` with the message of the per-step
+    reference."""
     rhs, f, m = BLOWUP_MODELS[model]()
     h, t1 = 1e-2, 3.84                      # 384 steps
     for s in np.concatenate([np.geomspace(1e-30, 1.0, 61),
@@ -188,9 +203,9 @@ def test_constant_frame_agrees_with_matrix_product_loop(m):
     """Dimensions up to D step on generated float code, whose dot products
     sum left to right where ``V @ x`` may not; the states then differ by
     rounding only, bounded here by n * m * eps relative (n = 200 steps of a
-    system whose states stay positive and of order one).  Above D both
-    loops run the same numpy operations and agree bit for bit over more
-    than one 128-step chunk."""
+    system whose states stay positive and of order one).  Above D the
+    right-hand side is ``V @ x`` itself, so the states agree bit for
+    bit."""
     rng = np.random.default_rng(700 + m)
     V = rng.uniform(-1.0, 1.0, (m, m))
     x0 = rng.uniform(0.2, 1.0, m)
@@ -199,8 +214,37 @@ def test_constant_frame_agrees_with_matrix_product_loop(m):
     assert message is None and traj.states.shape == states.shape == (201, m)
     rel = np.max(np.abs(traj.states - states) / np.abs(states))
     assert rel <= 200 * m * np.finfo(float).eps, rel
-    if m > D:   # the same operations, tested for finiteness per chunk
+    if m > D:   # the same operations in the same order
         assert traj.states.tobytes() == states.tobytes()
+
+
+def jet_frames():
+    """The two .frame fixtures and seeded random jet frames of dimension 2,
+    5, 10 and 12, with a start of positive components each."""
+    for name in ("vex", "ex4_variant"):
+        frame = parse_frame((DATA / f"{name}.frame").read_text())
+        yield pytest.param(frame, np.linspace(0.5, 1.0, frame.dim), id=name)
+    for m in (2, 5, 10, 12):
+        rng = np.random.default_rng(800 + m)
+        frame = random_jet_frame(rng, m=m, center=0.25)
+        yield pytest.param(frame, rng.uniform(0.2, 1.0, m), id=f"jet{m}")
+
+
+@pytest.mark.parametrize("frame, x0", list(jet_frames()))
+@pytest.mark.parametrize("span, h", [(0.3006, 2e-3), (-0.3006, 2e-3),
+                                     (0.503, 0.05), (-0.503, 0.05)])
+def test_time_dependent_frame_is_bitwise_the_numpy_vector_loop(
+        frame, x0, span, h):
+    """A time-dependent frame steps on the floats of its own ``rhs``, so
+    the states agree bit for bit with the numpy loop on the same
+    right-hand side; both directions, from t0 = 0.1 off the jets' center,
+    with a shortened last step."""
+    assert not frame.is_stationary
+    traj = sq.rk4(frame, x0, 0.1, 0.1 + span, h)
+    times, states, message = numpy_rk4(frame.rhs, x0, 0.1, 0.1 + span, h)
+    assert message is None and abs(times[-1] - times[-2]) < h / 2
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
 
 
 @pytest.mark.parametrize("v", [5e-324, 1.7976931348623157e308, -0.0])
@@ -233,6 +277,9 @@ def test_rk4_with_extreme_entries_is_bitwise_the_numpy_loop(v, x2):
 @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("m", [2, D + 1])
 def test_non_finite_entries_blow_up_as_on_the_numpy_path(v, m):
+    """A non-finite entry, in generated code (m = 2) or in ``V @ x``
+    (m = D + 1), ends the run on the first step, as in the numpy
+    reference loop."""
     V = np.full((m, m), 0.25)
     V[m - 1, 0] = v
     x0 = np.linspace(0.5, 1.0, m)
@@ -275,18 +322,6 @@ def test_rk4_domain_exit_mid_step():
 def test_rk4_step_budget():
     with pytest.raises(ValueError):
         sq.rk4(sq.QuadraticFrame([[0.0]]), [1.0], 0.0, 1.0, 1e-9)
-
-
-def test_trajectory_csv_roundtrip(tmp_path):
-    frame = sq.QuadraticFrame([[0.0, 1.0], [0.0, 0.0]])
-    traj = sq.rk4(frame, [1.0, 1.0], 0.0, 0.1, 0.01)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,x1,x2"
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(data[:, 0], traj.times)
-    assert np.array_equal(data[:, 1:], traj.states)
 
 
 def test_compare_series_against_own_oracle():
