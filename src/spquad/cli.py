@@ -272,9 +272,9 @@ def cmd_check(args) -> int:
         raise errors.UsageError(f"--step must cover each side of t0 in at most "
                                 f"{MAX_STEPS} RK4 steps") from None
     kind, obj, frame, z0, comps = _series_common(args)
-    sol = taylor(frame, z0, args.t0, args.order)
     wanted = sorted(comps)
-    sel = [comps[i] - 1 for i in wanted]
+    sol = taylor(frame, z0, args.t0, args.order,
+                 components=[comps[i] for i in wanted])
     if kind == "ode":
         reference = obj          # integrate the original monomial system
         ref_x0 = args.x0
@@ -288,18 +288,16 @@ def cmd_check(args) -> int:
     if b > args.t0:
         fwd = rk4(reference, ref_x0, args.t0, b, args.step)
         pieces.append((fwd.times, fwd.states))
-    times = np.concatenate([p[0] for p in pieces])
-    states = np.concatenate([p[1] for p in pieces])
-    order = np.argsort(times)
-    traj = Trajectory(times[order], states[order][:, [i - 1 for i in wanted]]
-                      if kind == "ode" else states[order][:, sel],
+    # the pieces run a..t0 and t0..b, so they join in time order
+    traj = Trajectory(np.concatenate([p[0] for p in pieces]),
+                      np.concatenate([p[1] for p in pieces]),
                       {"h": args.step, "rhs": "reference"})
     stride = max(1, len(traj.times) // max(1, args.samples))
     sampled = Trajectory(traj.times[::stride], traj.states[::stride], traj.meta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RadiusWarning)
         vals, _ = evaluate(sol, sampled.times)
-    series = Trajectory(sampled.times, vals[:, sel], {"order": args.order})
+    series = Trajectory(sampled.times, vals, {"order": args.order})
     finite = np.isfinite(series.states).all(axis=1)
     if not finite.all():
         raise errors.Divergence("the series is not finite at t = "

@@ -7,9 +7,12 @@ A :class:`TimeJet` represents an analytic time coefficient by the polynomial
 When ``exact`` is true the polynomial IS the coefficient (derivatives of all
 orders are available, eventually zero).  When ``exact`` is false the
 polynomial is a truncation of some analytic function and only the first
-``valid_order + 1`` coefficients are trustworthy; arithmetic propagates that
-budget and :meth:`derivative` raises :class:`~spquad.errors.OrderBudget` once
-it is exhausted.
+``valid_order + 1`` coefficients are trustworthy.  That budget is data: a
+frame reports its smallest one (``QuadraticFrame.min_valid_order``), and
+:func:`~spquad.series.taylor` and :func:`~spquad.series.coefficient_tensors`
+raise :class:`~spquad.errors.OrderBudget` when it is below the order asked
+for.  The series engines compute on the frame's coefficient arrays, so jets
+carry no arithmetic beyond scaling and negation.
 
 Jets are immutable; all operations return new instances.  Trailing zero
 coefficients are trimmed so equality and zero tests are canonical.
@@ -18,10 +21,6 @@ coefficients are trimmed so equality and zero tests are canonical.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import MixedCenters, OrderBudget
-
-_INF = float("inf")
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -95,76 +94,17 @@ class TimeJet:
         """Polynomial order (index of the highest stored power)."""
         return len(self.coeffs) - 1
 
-    def _budget(self) -> float:
-        return _INF if self.exact else float(self.valid_order)
-
     # --- arithmetic ---
-
-    def _check_center(self, other: "TimeJet") -> None:
-        if self.center != other.center:
-            raise MixedCenters(
-                f"jet centers differ: {self.center} vs {other.center}")
-
-    def __add__(self, other):
-        if not isinstance(other, TimeJet):
-            return NotImplemented
-        self._check_center(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n)
-        c[:len(self.coeffs)] += self.coeffs
-        c[:len(other.coeffs)] += other.coeffs
-        return self._combine(c, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, TimeJet):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return TimeJet(-self.coeffs, self.center, self.exact,
                        self.valid_order)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        if not isinstance(other, TimeJet):
-            return NotImplemented
-        self._check_center(other)
-        if self.is_zero() or other.is_zero():
-            # the zero jet annihilates exactly, whatever the other factor
-            return TimeJet.zero(self.center)
-        c = np.convolve(self.coeffs, other.coeffs)
-        return self._combine(c, other)
-
-    __rmul__ = __mul__
 
     def scale(self, a: float) -> "TimeJet":
         if a == 0.0:
             return TimeJet.zero(self.center)
         return TimeJet(self.coeffs * a, self.center, self.exact,
                        self.valid_order)
-
-    def _combine(self, coeffs: np.ndarray, other: "TimeJet") -> "TimeJet":
-        budget = min(self._budget(), other._budget())
-        if budget == _INF:
-            return TimeJet(coeffs, self.center)
-        return TimeJet(coeffs, self.center, exact=False,
-                       valid_order=int(budget))
-
-    def derivative(self) -> "TimeJet":
-        """Formal time derivative; costs one order of trust on inexact jets."""
-        if not self.exact:
-            if self.valid_order <= 0:
-                raise OrderBudget(
-                    "truncated jet cannot supply another derivative order")
-            budget = self.valid_order - 1
-        if len(self.coeffs) == 1:
-            d = np.zeros(1)
-        else:
-            d = self.coeffs[1:] * np.arange(1, len(self.coeffs))
-        if self.exact:
-            return TimeJet(d, self.center)
-        return TimeJet(d, self.center, exact=False, valid_order=budget)
 
     def __call__(self, t: float) -> float:
         u = float(t) - self.center

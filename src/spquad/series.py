@@ -10,17 +10,20 @@ a_k = x^{(k)}(t0) / k! of the whole state:
 where W_l = V^{(l)}(t0) / l! are the frame jets re-expanded at t0, read
 from the frame's coefficient array ``frame.coeffs``.  It costs
 O(K^2 m + K L m^2) for order K, dimension m and jet degree L, and serves
-constant and time-dependent frames alike.  :func:`taylor` is the one entry
-point for both recursions.
+constant and time-dependent frames alike, and is the one that
+:func:`taylor` runs.
 
-The paper's layered recursion gives the same coefficients directly in the
-frame entries and is kept for the :class:`CoefficientTensor` objects it
-builds (``taylor(..., keep_tensors=True)``):
+The paper's layered recursion gives the same coefficients directly from the
+frame.  :func:`coefficient_tensors` runs it on ``frame.coeffs`` for the
+:class:`CoefficientTensor` objects it builds; they depend on the frame
+alone, and x0 and t0 enter only when :meth:`CoefficientTensor.coefficients`
+contracts them:
 
     c_0(i) = x_i
     c_k(i) = sum_{s=2}^{k+1} sum_tails  v^{k+1,s}_{i,tail}(t0) * x_i * prod(x_tail)
 
-with layer updates (A is the append step, d/dt the entrywise jet derivative)
+with layer updates on the numpy coefficients of each entry in powers of
+t - center (A is the append step, d/dt the entrywise derivative)
 
     v^{k+1,k+1} = A v^{k,k}
     v^{k+1,s}   = A v^{k,s-1} + d/dt v^{k,s}     (3 <= s <= k)
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -119,6 +122,23 @@ class CoefficientTensor:
     root: int
     layers: dict[tuple[int, int], dict[IndexMultiset, TimeJet]]
 
+    def coefficients(self, x0, t0: float, K: int) -> np.ndarray:
+        """c_0 .. c_K of the root component at center t0 from the full
+        state x0: c_0 = x_i and c_k = x_i * sum over s and tails of
+        v^{k+1,s}(t0) * prod(x_tail).  K must not exceed the order the
+        tensor was built for."""
+        x0 = np.asarray(x0, dtype=float)
+        c = np.zeros(K + 1)
+        c[0] = x0[self.root - 1]
+        for k in range(1, K + 1):
+            acc = 0.0
+            for s in range(2, k + 2):
+                for key, jet in self.layers.get((k + 1, s), {}).items():
+                    acc += jet(t0) * math.prod(x0[j - 1] ** m
+                                               for j, m in key.pairs)
+            c[k] = c[0] * acc
+        return c
+
 
 @dataclass(frozen=True)
 class SeriesSolution:
@@ -135,7 +155,6 @@ class SeriesSolution:
     components: tuple[int, ...]
     coeffs: np.ndarray
     radius_bound: float
-    tensors: dict[int, CoefficientTensor] | None = field(default=None, compare=False)
 
     def component_row(self, i: int) -> np.ndarray:
         return self.coeffs[self.components.index(i)]
@@ -149,14 +168,10 @@ class SeriesSolution:
 # shared validation
 # --------------------------------------------------------------------------
 
-def _check_inputs(frame: QuadraticFrame, x0, K: int,
-                  components) -> tuple[np.ndarray, tuple[int, ...]]:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (frame.dim,):
-        raise ValueError(f"x0 must have {frame.dim} components")
-    if np.any(x0 == 0.0):
-        bad = int(np.nonzero(x0 == 0.0)[0][0]) + 1
-        raise ZeroComponent(f"x0 component {bad} is zero")
+def _check_order(frame: QuadraticFrame, K: int,
+                 components) -> tuple[int, ...]:
+    """The selected 1-based components, once K passes the order cap and
+    the derivative budget of the frame's truncated jets."""
     if K < 0:
         raise ValueError("order must be >= 0")
     if K > MAX_ORDER:
@@ -172,7 +187,11 @@ def _check_inputs(frame: QuadraticFrame, x0, K: int,
             if i not in seen:
                 seen.append(i)
         comps = tuple(seen)
-    return x0, comps
+    if frame.min_valid_order() < K:
+        raise OrderBudget(
+            f"frame jets supply {frame.min_valid_order():.0f} derivative "
+            f"orders but order {K} was requested")
+    return comps
 
 
 def _mset_from_counts(root: int, counts, cols: tuple[int, ...]) -> IndexMultiset:
@@ -188,7 +207,7 @@ def _shifted_jets(frame: QuadraticFrame, t0: float, K: int) -> np.ndarray:
     """W[l] = V^{(l)}(t0) / l! for l < K, up to the jet degree."""
     deg = len(frame.coeffs) - 1
     u = float(t0) - frame.center
-    T = np.array([[math.comb(n, l) * u ** (n - l) if n >= l else 0.0
+    T = np.array([[math.comb(n, l) * _power(u, n - l) if n >= l else 0.0
                    for n in range(deg + 1)] for l in range(deg + 1)])
     return np.einsum("ln,nij->lij", T, frame.coeffs)[:K]
 
@@ -196,11 +215,11 @@ def _shifted_jets(frame: QuadraticFrame, t0: float, K: int) -> np.ndarray:
 def _cauchy(frame: QuadraticFrame, x0: np.ndarray, t0: float,
             K: int) -> np.ndarray:
     """Derivatives c[i, k] = x_i^{(k)}(t0) of every component."""
-    W = _shifted_jets(frame, t0, K)
     a = np.zeros((K + 1, frame.dim))
     y = np.zeros((K, frame.dim))
     a[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
+        W = _shifted_jets(frame, t0, K)
         for k in range(K):
             L = min(k + 1, len(W))
             y[k] = np.einsum("lij,lj->i", W[:L], a[k::-1][:L])
@@ -209,113 +228,98 @@ def _cauchy(frame: QuadraticFrame, x0: np.ndarray, t0: float,
 
 
 # --------------------------------------------------------------------------
-# layered engine (jet-valued sparse layers, builds the tensors)
+# layered recursion (sparse layers of coefficient arrays, builds the tensors)
 # --------------------------------------------------------------------------
 
-def _a_step(layer: dict, root0: int, S0: list[int],
-            entries) -> dict:
-    """Append step: multiply each multiset by the aggregated frame column
-    combination and accumulate into the enlarged multiset."""
-    out: dict[tuple[int, ...], TimeJet] = {}
-    for counts, jet in layer.items():
-        for jpos, jcol in enumerate(S0):
-            mult = None
-            for l, c in enumerate(counts):
-                if c:
-                    e = entries[S0[l]][jcol]
-                    if not e.is_zero():
-                        term = e.scale(float(c))
-                        mult = term if mult is None else mult + term
-            root_entry = entries[root0][jcol]
-            if not root_entry.is_zero():
-                mult = root_entry if mult is None else mult + root_entry
-            if mult is None or mult.is_zero():
-                continue
-            new = counts[:jpos] + (counts[jpos] + 1,) + counts[jpos + 1:]
-            prod = jet * mult
-            if new in out:
-                out[new] = out[new] + prod
-            else:
-                out[new] = prod
-    return {m: j for m, j in out.items() if not j.is_zero()}
+def _kept(layer: dict) -> dict:
+    """The nonzero entries of a layer, without trailing zero coefficients."""
+    return {m: np.trim_zeros(p, "b") for m, p in layer.items() if p.any()}
 
 
-def _d_step(layer: dict) -> dict:
-    out = {}
-    for counts, jet in layer.items():
-        d = jet.derivative()
-        if not d.is_zero():
-            out[counts] = d
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for coefficient arrays of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[:len(b)] += b
     return out
 
 
-def _merge(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, jet in b.items():
-        out[m] = out[m] + jet if m in out else jet
-    return {m: j for m, j in out.items() if not j.is_zero()}
+def _append(layer: dict, rows: np.ndarray, root: np.ndarray) -> dict:
+    """A: per support column j, multiply each tail by the count-weighted sum
+    of its rows' entries in column j plus the root's, and accumulate into
+    the tail with j appended.  ``rows[:, l]`` and ``root`` are support-column
+    coefficient arrays of the l-th support row and of the root row."""
+    out: dict[tuple[int, ...], np.ndarray] = {}
+    for counts, p in layer.items():
+        mult = sum((c * rows[:, l] for l, c in enumerate(counts) if c),
+                   0.0) + root
+        for jpos in range(len(counts)):
+            col = np.trim_zeros(mult[:, jpos], "b")
+            if col.size:
+                new = counts[:jpos] + (counts[jpos] + 1,) + counts[jpos + 1:]
+                prod = np.convolve(p, col)
+                out[new] = _add(out[new], prod) if new in out else prod
+    return _kept(out)
+
+
+def _derive(layer: dict) -> dict:
+    return _kept({m: p[1:] * np.arange(1, len(p)) for m, p in layer.items()})
+
+
+def coefficient_tensors(frame: QuadraticFrame, K: int,
+                        components: Iterable[int] | None = None
+                        ) -> dict[int, CoefficientTensor]:
+    """The paper's layered recursion up to order K: one
+    :class:`CoefficientTensor` per component, from the frame alone.  Each
+    layer maps a tail's counts over the support to the coefficients of its
+    entry in powers of t - center, which become jets only on return, so one
+    build serves every initial point and center.  Truncated frame jets must
+    carry at least K trustworthy orders, else :class:`OrderBudget` is
+    raised.  The cost grows like C(K + sigma, sigma) in the support size
+    sigma."""
+    comps = _check_order(frame, K, components)
+    cols, _ = support(frame)
+    S0 = [j - 1 for j in cols]
+    V = frame.coeffs[:, :, S0]
+    rows = V[:, S0]
+    tensors = {}
+    for i in comps:
+        root = V[:, i - 1]
+        # v^{2,2}, the root row, is A applied to the empty tail
+        layers = {(2, 2): _append({(0,) * len(S0): np.ones(1)}, rows, root)}
+        for k in range(2, K + 1):
+            layers[(k + 1, k + 1)] = _append(layers[(k, k)], rows, root)
+            for s in range(3, k + 1):
+                merged = _append(layers[(k, s - 1)], rows, root)
+                for m, p in _derive(layers[(k, s)]).items():
+                    merged[m] = _add(merged[m], p) if m in merged else p
+                layers[(k + 1, s)] = _kept(merged)
+            layers[(k + 1, 2)] = _derive(layers[(k, 2)])
+        tensors[i] = CoefficientTensor(i, {
+            ks: {_mset_from_counts(i, counts, cols): TimeJet(p, frame.center)
+                 for counts, p in layer.items()}
+            for ks, layer in layers.items() if layer})
+    return tensors
 
 
 def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
-           components: Iterable[int] | None = None,
-           keep_tensors: bool = False) -> SeriesSolution:
-    """Series coefficients for an arbitrary (constant or time-jet) frame.
-
-    Coefficients come from the Cauchy-product recursion.  With
-    ``keep_tensors`` they come from the layered recursion instead, which
-    also returns one :class:`CoefficientTensor` per component; its layer
-    jets stay polynomials in t - center until assembly, where they are
-    evaluated at t0, so the same layers serve any expansion center.
-    Truncated frame jets must carry at least K trustworthy orders, else
-    :class:`OrderBudget` is raised.
+           components: Iterable[int] | None = None) -> SeriesSolution:
+    """Series coefficients for an arbitrary (constant or time-jet) frame,
+    from the Cauchy-product recursion.  Truncated frame jets must carry at
+    least K trustworthy orders, else :class:`OrderBudget` is raised.
     """
-    x0, comps = _check_inputs(frame, x0, K, components)
-    if frame.min_valid_order() < K:
-        raise OrderBudget(
-            f"frame jets supply {frame.min_valid_order():.0f} derivative "
-            f"orders but order {K} was requested")
-    if not keep_tensors:
-        coeffs = _cauchy(frame, x0, t0, K)[[i - 1 for i in comps]]
-        tensors = None
-    else:
-        cols, _ = support(frame)
-        sigma = len(cols)
-        S0 = [j - 1 for j in cols]
-        entries = frame.entries
-        coeffs = np.zeros((len(comps), K + 1))
-        coeffs[:, 0] = x0[[i - 1 for i in comps]]
-        x_S = x0[S0]
-        tensors = {}
-        for r, i in enumerate(comps):
-            root0 = i - 1
-            layers: dict[tuple[int, int], dict] = {}
-            init = {}
-            for jpos, jcol in enumerate(S0):
-                e = entries[root0][jcol]
-                if not e.is_zero():
-                    counts = tuple(1 if l == jpos else 0 for l in range(sigma))
-                    init[counts] = e
-            layers[(2, 2)] = init
-            for k in range(2, K + 1):
-                layers[(k + 1, k + 1)] = _a_step(layers[(k, k)], root0, S0, entries)
-                for s in range(3, k + 1):
-                    layers[(k + 1, s)] = _merge(
-                        _a_step(layers[(k, s - 1)], root0, S0, entries),
-                        _d_step(layers[(k, s)]))
-                layers[(k + 1, 2)] = _d_step(layers[(k, 2)])
-            for k in range(1, K + 1):
-                acc = 0.0
-                for s in range(2, k + 2):
-                    for counts, jet in layers.get((k + 1, s), {}).items():
-                        acc += jet(t0) * float(np.prod(x_S ** np.array(counts)))
-                coeffs[r, k] = x0[root0] * acc
-            tensors[i] = CoefficientTensor(i, {
-                ks: {_mset_from_counts(i, counts, cols): jet
-                     for counts, jet in layer.items()}
-                for ks, layer in layers.items() if layer})
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (frame.dim,):
+        raise ValueError(f"x0 must have {frame.dim} components")
+    if np.any(x0 == 0.0):
+        bad = int(np.nonzero(x0 == 0.0)[0][0]) + 1
+        raise ZeroComponent(f"x0 component {bad} is zero")
+    comps = _check_order(frame, K, components)
+    coeffs = _cauchy(frame, x0, t0, K)[[i - 1 for i in comps]]
     return SeriesSolution(
         t0=float(t0), x0=x0, order=K, components=comps, coeffs=coeffs,
-        radius_bound=convergence_bound(frame, x0, t0), tensors=tensors)
+        radius_bound=convergence_bound(frame, x0, t0))
 
 
 # --------------------------------------------------------------------------

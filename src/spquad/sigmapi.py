@@ -293,12 +293,11 @@ class DomainDescriptor:
     def contains(self, x: Sequence[float]) -> bool:
         """Membership of x in the open system domain."""
         for j, cls in enumerate(self.classes, start=1):
-            neg, zero = _CLASS_BITS[cls]
             v = float(x[j - 1])
             if cls in (DomainClass.CLOSED_POSITIVE, DomainClass.OPEN_POSITIVE):
                 if v <= 0.0:
                     return False
-            elif not zero and v == 0.0:
+            elif cls is DomainClass.NONZERO and v == 0.0:
                 return False
         return True
 
@@ -319,11 +318,13 @@ class StructureReport:
         return not self.singularity
 
 
-def _domain_bits(ode: SigmaPiOde,
-                 inherited: Mapping[int, DomainClass] | None = None
-                 ) -> tuple[list[bool], list[bool]]:
-    """Per-index (allows negative, allows zero) bits from all exponents,
-    narrowed by the classes ``inherited`` assigns to selected indices."""
+def _domain_classes(ode: SigmaPiOde,
+                    inherited: Mapping[int, DomainClass] | None = None
+                    ) -> list[DomainClass]:
+    """Per-index class: the intersection of the cases of all exponents on
+    the index, narrowed by the classes ``inherited`` assigns to selected
+    indices.  Every pair of (allows negative, allows zero) bits names one
+    of the four classes, so the intersection is never empty."""
     neg = [True] * ode.n
     zero = [True] * ode.n
     cases = [(j, _exponent_case(value, rat))
@@ -334,16 +335,13 @@ def _domain_bits(ode: SigmaPiOde,
         cneg, czero = _CLASS_BITS[cls]
         neg[j - 1] &= cneg
         zero[j - 1] &= czero
-    return neg, zero
+    return [_BITS_CLASS[bits] for bits in zip(neg, zero)]
 
 
 def analyze_domain(ode: SigmaPiOde) -> DomainDescriptor:
     """Classify every index by intersecting the definedness cases of all
-    exponents that mention it.  Every pair of bits names one of the four
-    classes, so the intersection is never empty.
-    """
-    neg, zero = _domain_bits(ode)
-    classes = tuple(_BITS_CLASS[(neg[k], zero[k])] for k in range(ode.n))
+    exponents that mention it."""
+    classes = tuple(_domain_classes(ode))
     macro = tuple(j for j, c in enumerate(classes, start=1)
                   if c in (DomainClass.CLOSED_POSITIVE, DomainClass.OPEN_POSITIVE))
     removed = tuple(j for j, c in enumerate(classes, start=1)
@@ -365,10 +363,9 @@ def structure(ode: SigmaPiOde,
     the decomposition cascade uses it because projecting a system does not
     relax the constraints the deleted monomials imposed.
     """
-    neg, zero = _domain_bits(ode, inherited)
-    crit = frozenset(
-        j for j in range(1, ode.n + 1)
-        if _BITS_CLASS[(neg[j - 1], zero[j - 1])] is DomainClass.UNRESTRICTED)
+    crit = frozenset(j for j, c in enumerate(_domain_classes(ode, inherited),
+                                             start=1)
+                     if c is DomainClass.UNRESTRICTED)
     sing = set()
     for j in crit:
         ok = True
@@ -457,9 +454,8 @@ def decompose_global(ode: SigmaPiOde) -> list[DecompositionStage]:
         drop_orig = frozenset(to_orig[j] for j in report.singularity)
         stages.append(DecompositionStage(
             current, report, drop_orig, dict(to_orig)))
-        neg, zero = _domain_bits(current, inherited)
+        classes = _domain_classes(current, inherited)
         current, renumber = project(current, report.singularity)
-        inherited = {new: _BITS_CLASS[(neg[old - 1], zero[old - 1])]
-                     for old, new in renumber.items()}
+        inherited = {new: classes[old - 1] for old, new in renumber.items()}
         back = {new: old for old, new in renumber.items()}
         to_orig = {new: to_orig[back[new]] for new in back}

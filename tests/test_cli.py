@@ -438,6 +438,29 @@ def test_an_overflowing_frame_at_t0_is_one_numeric_error(argv, capsys):
     assert err.count("\n") == 1 and err.startswith("numeric error:")
 
 
+@pytest.mark.parametrize("name, text, argv, kind", [
+    ("q.frame", "poly(0,0,1) 0\n0 0\n",
+     ["series", "--order", "4", "--x0", "1,1"],
+     "Divergence: the coefficients of order 1 are the first that are not finite"),
+    ("q.spode", "x1' = poly(0,0,1)*x1\n",
+     ["check", "--x0", "1", "--window=1e160,2e160", "--step", "1e159"],
+     "Blowup"),
+], ids=["series", "check"])
+def test_a_jet_power_beyond_the_float_range_is_one_numeric_error(
+        name, text, argv, kind, tmp_path, capsys):
+    """At t0 = 1e160 the re-expanded t^2 jet overflows the float range:
+    exit 4 with one stderr line and no JSON written."""
+    p = tmp_path / name
+    p.write_text(text)
+    out = tmp_path / "out.json"
+    code = main(argv[:1] + [str(p), "--t0", "1e160", "--format", "json",
+                            "--output", str(out)] + argv[1:])
+    assert code == 4 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"numeric error: {kind}")
+
+
 def _error_classes(cls=errors.SpquadError):
     for sub in cls.__subclasses__():
         yield sub

@@ -147,10 +147,9 @@ def test_tail_keys_confined_to_support():
     rng = np.random.default_rng(103)
     for _ in range(6):
         frame = random_frame(rng, zero_column=True)
-        x0 = rng.uniform(0.2, 1.0, frame.dim)
+        rng.uniform(0.2, 1.0, frame.dim)  # keeps the seeded draws that follow
         S, _ = sq.support(frame)
-        sol = sq.taylor(frame, x0, 0.0, 6, keep_tensors=True)
-        for tensor in sol.tensors.values():
+        for tensor in sq.coefficient_tensors(frame, 6).values():
             for layer in tensor.layers.values():
                 for key in layer:
                     assert all(j in S for j, _ in key.pairs)
@@ -160,12 +159,15 @@ def test_tail_keys_confined_to_support():
 def test_stationary_frames_have_no_mixed_layers():
     rng = np.random.default_rng(107)
     frame = random_frame(rng)
-    x0 = rng.uniform(0.2, 1.0, frame.dim)
-    sol = sq.taylor(frame, x0, 0.0, 7, keep_tensors=True)
-    for tensor in sol.tensors.values():
+    for tensor in sq.coefficient_tensors(frame, 7).values():
         for (k, s), layer in tensor.layers.items():
             if layer:
                 assert k == s
+
+
+def _contracted(tensors, x0, t0, K):
+    """The contracted coefficient rows, in the tensors' component order."""
+    return np.array([t.coefficients(x0, t0, K) for t in tensors.values()])
 
 
 def test_general_equals_stationary_on_constant_frames():
@@ -180,10 +182,9 @@ def test_general_equals_stationary_on_constant_frames():
                   for e in row] for row in frame.entries])
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         a = sq.taylor(frame, x0, 0.3, 8)
-        b = sq.taylor(frame, x0, 0.3, 8, keep_tensors=True)
-        assert a.tensors is None and b.tensors is not None
-        scale = np.maximum(np.abs(b.coeffs), 1.0)
-        assert np.max(np.abs(a.coeffs - b.coeffs) / scale) < 1e-12
+        b = _contracted(sq.coefficient_tensors(frame, 8), x0, 0.3, 8)
+        scale = np.maximum(np.abs(b), 1.0)
+        assert np.max(np.abs(a.coeffs - b) / scale) < 1e-12
 
 
 @pytest.mark.parametrize("jet_first", [True, False])
@@ -196,9 +197,80 @@ def test_frame_center_comes_from_its_jets(jet_first):
     assert frame.center == 0.25
     assert all(e.center == 0.25 for r in frame.entries for e in r)
     a = sq.taylor(frame, [1.0, 0.7], 0.1, 8)
-    b = sq.taylor(frame, [1.0, 0.7], 0.1, 8, keep_tensors=True)
-    scale = np.maximum(np.abs(b.coeffs), 1.0)
-    assert np.max(np.abs(a.coeffs - b.coeffs) / scale) < 1e-12
+    b = _contracted(sq.coefficient_tensors(frame, 8), [1.0, 0.7], 0.1, 8)
+    scale = np.maximum(np.abs(b), 1.0)
+    assert np.max(np.abs(a.coeffs - b) / scale) < 1e-12
+
+
+def test_one_tensor_build_serves_every_start_and_center():
+    """The tensors depend on the frame alone: one build, contracted at
+    three initial points and three centers, gives taylor's coefficients,
+    each order within 1e-12 of that order's largest coefficient.  (Per
+    coefficient, cancellation in the Cauchy products puts taylor 4e-12 off
+    the exact c_8 of the Airy driver at t0 = -0.3; the contraction is
+    2e-16 off.)"""
+    rng = np.random.default_rng(113)
+    q = sq.quadratize_inclusive(airy_first_order())
+    frames = [random_frame(rng), random_frame(rng, zero_column=True),
+              random_jet_frame(rng, center=0.25, m=3), sq.driver_frame(q)]
+    starts = [[0.7, 1.3], [-0.4, 0.9], [1.1, -0.6]]
+    for frame in frames:
+        tensors = sq.coefficient_tensors(frame, 8)
+        for n, t0 in enumerate([0.0, 0.25, -0.3]):
+            if frame is frames[-1]:
+                x0 = sq.phi_eval(q, starts[n])
+            else:
+                x0 = rng.uniform(0.2, 1.0, frame.dim) * rng.choice([-1, 1])
+            want = sq.taylor(frame, x0, t0, 8).coeffs
+            got = _contracted(tensors, x0, t0, 8)
+            scale = np.max(np.abs(want), axis=0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_tensors_of_a_truncated_frame_raise_order_budget():
+    trunc = sq.TimeJet([1.0, 0.5, 0.25], exact=False)  # trusts 2 orders
+    frame = sq.QuadraticFrame([[trunc, 0.5], [0.0, 1.0]])
+    with pytest.raises(OrderBudget):
+        sq.coefficient_tensors(frame, 3)
+    assert set(sq.coefficient_tensors(frame, 2)) == {1, 2}
+
+
+def _key_digest(tensors):
+    text = repr(sorted((i, sorted((ks, sorted(key.pairs for key in layer))
+                                  for ks, layer in t.layers.items()))
+                       for i, t in tensors.items()))
+    return hashlib.sha1(text.encode()).hexdigest()[:12]
+
+
+def _seeded_frames():
+    rng = np.random.default_rng(2024)
+    for n in range(6):
+        yield f"random{n}", random_frame(rng, zero_column=bool(n % 2))
+    for n in range(6):
+        yield f"jet{n}", random_jet_frame(rng, center=0.25)
+
+
+# SHA-1 prefix of the sorted tail keys of every layer of
+# coefficient_tensors(frame, 5), as recorded from the jet-object recursion
+# that the coefficient-array layers replaced
+TENSOR_KEYS = {
+    "affine.spode": "b67d681256d1", "airy_first_order.spode": "ff0a35737930",
+    "bernoulli.spode": "5486fa0b69f2", "ex4_variant.frame": "70afdf1f08d7",
+    "exdom.spode": "725d321c7e1b", "five_monomials.spode": "7dcf5092d0c4",
+    "linear2.spode": "b134e72d3558", "vex.frame": "dd3ebbea4f91",
+    "random0": "957575fbe016", "random1": "0c3e8f1e5f48",
+    "random2": "2a6f5c3720be", "random3": "957575fbe016",
+    "random4": "d7d2516fecf0", "random5": "1d0c0a9fb604",
+    "jet0": "a4881ca76e2c", "jet1": "3835b7cd7111", "jet2": "ec2b5bed3c5e",
+    "jet3": "3e6170349193", "jet4": "2a80ec199714", "jet5": "4d69eb4e3831",
+}
+
+
+def test_tensor_layers_keep_their_key_sets():
+    frames = [(f.name, fixture_frame(f)) for f in sorted(DATA.iterdir())]
+    got = {name: _key_digest(sq.coefficient_tensors(frame, 5))
+           for name, frame in frames + list(_seeded_frames())}
+    assert got == TENSOR_KEYS
 
 
 # frame.ref() and the SHA-1 prefix of serialize_frame per fixture: rebuilding
@@ -361,15 +433,14 @@ def test_airy_layer_jet_matches_hand_value():
     q = sq.quadratize_inclusive(airy_first_order())
     frame = sq.driver_frame(q)
     root = q.identity[2]
-    z0 = sq.phi_eval(q, [0.7, 1.3])
-    sol = sq.taylor(frame, z0, 0.0, 3, components=[root],
-                            keep_tensors=True)
-    layer = sol.tensors[root].layers[(3, 3)]
+    tensors = sq.coefficient_tensors(frame, 3, components=[root])
+    assert list(tensors) == [root]
+    layer = tensors[root].layers[(3, 3)]
     key = sq.IndexMultiset(root, ((q.flat_index(1, 1), 1),
                                   (q.flat_index(2, 1), 1)))
     assert layer[key] == sq.TimeJet([0.0, 1.0])
     # and its derivative feeds c_3 = x2 at the center (layer (4,3))
-    layer43 = sol.tensors[root].layers[(4, 3)]
+    layer43 = tensors[root].layers[(4, 3)]
     assert layer43[key] == sq.TimeJet([1.0])
 
 
