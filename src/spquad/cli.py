@@ -9,11 +9,12 @@ Inputs are ``.spode`` equation files or ``.frame`` matrix files; monomial
 systems run through the inclusive quadratization pipeline automatically.
 Outputs are text, JSON (validating against ``schemas/cli_output.schema.json``)
 or CSV.  Exit codes: 0 ok, then one per category of :mod:`spquad.errors`:
-2 parse/usage (unreadable files, bad ``--config`` values, missing or
-wrong-count options, a ``check`` window or step out of bounds), 3 domain,
-4 numeric.  A ``--config`` value passes the same converter and checks as
-its flag: integer options accept only integers, ``--step`` must be finite
-and > 0, and ``--x0``/``--window`` reject empty fields.
+2 parse/usage (unreadable files, an unwritable output file or standard
+output, bad ``--config`` values, missing or wrong-count options, a
+``check`` window or step out of bounds), 3 domain, 4 numeric.  A
+``--config`` value passes the same converter and checks as its flag:
+integer options accept only integers, ``--step`` must be finite and > 0,
+and ``--x0``/``--window`` reject empty fields.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -86,8 +88,18 @@ def _emit(args, payload: dict, csv_rows: list, text: str) -> None:
         out = text
     if args.output:
         _write(args.output, out + "\n")
-    else:
-        print(out)
+        return
+    try:
+        sys.stdout.write(out + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # what could not be written stays buffered: send the descriptor to
+        # the null device, so the flush at exit has nothing to fail on
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise errors.UsageError(
+            f"cannot write standard output: {exc.strerror}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -322,13 +334,14 @@ def cmd_check(args) -> int:
                "result": result,
                "warnings": (["samples beyond the radius bound"]
                             if report.flagged else [])}
-    # plottable CSV: one row per compared sample
-    rows = [["t"] + [f"series_x{i}" for i in wanted]
-            + [f"reference_x{i}" for i in wanted] + ["in_radius"]]
-    for t, got, ref in zip(sampled.times, series.states, sampled.states):
-        rows.append([float(t)] + [float(v) for v in got]
-                    + [float(v) for v in ref]
-                    + [int(abs(t - args.t0) < sol.radius_bound)])
+    rows = []
+    if args.format == "csv":   # plottable: one row per compared sample
+        rows = [["t"] + [f"series_x{i}" for i in wanted]
+                + [f"reference_x{i}" for i in wanted] + ["in_radius"]]
+        for t, got, ref in zip(sampled.times, series.states, sampled.states):
+            rows.append([float(t)] + [float(v) for v in got]
+                        + [float(v) for v in ref]
+                        + [int(abs(t - args.t0) < sol.radius_bound)])
     lines = [f"max rel {report.max_rel:.3e}  rms {report.rms_rel:.3e} "
              f"over {report.n_samples} samples"
              + ("  [beyond radius bound]" if report.flagged else "")]

@@ -4,60 +4,70 @@ Deliberately shares no machinery with the series engine so the two can
 cross-check each other.  Accepts both monomial systems and quadratic frames
 as right-hand sides.
 
-One loop steps the RK4 formulas on a list of Python floats, whatever the
-model; :func:`rk4` only chooses the right-hand side ``f(t, x)``, which
-takes and returns such a list:
+:func:`rk4` generates the whole RK4 loop for a model as straight-line
+Python over local floats, compiles it, and runs it.  A state of one to a
+few floats steps several times faster as local floats than as a numpy
+array, whose cost per operation is mostly call overhead.  The loop runs
+the IEEE operations of a numpy-vector RK4 in the same order, so with the
+same right-hand side its trajectories are bit for bit those of a numpy
+loop.  Each stage's right-hand side is
 
-* a :class:`SigmaPiOde`: :meth:`SigmaPiOde.rhs_list`;
-* a constant frame of dimension m <= :data:`D`: generated float code
-  (below);
-* a larger constant frame: ``(V @ x) * x`` on ``np.array(x)``;
-* a time-dependent frame: its own ``rhs``.
+* for a :class:`SigmaPiOde`, inlined from its terms in the order of
+  :meth:`SigmaPiOde.rhs_list`: a sum from ``0.0`` of coefficient times
+  product from ``1.0`` of one ``real_pow`` call per factor; a constant
+  coefficient is its float repr, a jet coefficient Horner's rule on its
+  coefficients' reprs, as :meth:`TimeJet.__call__` evaluates it;
+* for a constant frame of dimension m <= :data:`D`, inlined from the float
+  reprs of V: ``(V x)_i x_i`` with each dot product summed left to right,
+  which may differ from numpy's ``V @ x`` in the last bits;
+* for a larger constant frame, a call of ``(V @ x) * x`` on
+  ``np.array(x)``, and for a time-dependent frame a call of its own
+  ``rhs``: these frames keep numpy's summation order.
 
-A state of one to a few floats steps several times faster as a list than
-as a numpy array, whose cost per operation is mostly call overhead.  The
-loop runs the IEEE operations of a numpy-vector RK4 in the same order, so
-with the same right-hand side its trajectories are bit for bit those of a
-numpy loop.
+The source holds only such reprs, fixed names and operators: a float repr
+reads back as the same double (``5e-324``, ``1.7976931348623157e+308`` and
+the sign of ``-0.0`` included), the names ``inf`` and ``nan`` are bound to
+those floats so non-finite entries blow up as with ``V @ x``, and no text
+of the input reaches the source.  Everything else the loop needs (the
+exact rationals of the powers, the numpy right-hand side, the times and
+the states array it writes into) is an argument.  The text is thus a safe
+cache key, and compiled loops are kept in a small LRU cache keyed on the
+texts the source is built from: compiling is most of the cost of
+generating (about 0.3 ms for ``affine.spode``, 0.7 ms for
+``five_monomials.spode`` and 2.5 ms for a frame of dimension 9), and a
+two-sided ``check`` runs the same model twice.  The source is terse
+because the cache keeps each compiled loop and its key.
 
-A constant frame's float right-hand side is source generated once per
-:func:`rk4` call: one straight-line expression per component with each
-entry written as ``repr(float(V[i, j]))``.  The source holds only such
-reprs because a float repr reads back as the same double (``5e-324``,
-``1.7976931348623157e+308`` and the sign of ``-0.0`` included), the names
-``inf`` and ``nan`` are bound to those floats so non-finite entries blow up
-as with ``V @ x``, and no text of the frame's input reaches the source.
-Its dot products sum left to right, which may differ from numpy's
-``V @ x`` in the last bits.
+:data:`D` keeps inlined frames where they are the faster right-hand side,
+counting their compile time.  A sweep on dense random constant frames
+(2000 steps, compile from a cold cache, medians of 7; 2-core shared host,
+Python 3.11, numpy 2.4) read the inlined step over the numpy step as 0.19
+at m = 4, 0.34 at m = 6, 0.56 at m = 9, 0.83 at m = 10, 0.99 at m = 12 and
+1.55 at m = 16.  Inlining costs 0.4 ms more compile time at m = 4 and
+1.4 ms more at m = 9, which its faster steps repay within 40 and 175 steps.
 
-:data:`D` keeps the generated code where it is the faster right-hand
-side.  Its cost grows with m**2, while ``V @ x`` costs about 23 us a step
-at any m up to 12, mostly call overhead.  A per-step sweep on dense random
-constant frames (2000 steps, 9 interleaved repeats, medians; 2-core shared
-host, Python 3.11, numpy 2.4) read generated over ``V @ x`` as 0.53 at
-m = 6, 0.71 at m = 8, 0.80 at m = 9, 0.94 to 0.98 at m = 10 to 12 and 1.43
-at m = 16.
-
-The loop runs with numpy overflow and invalid values silenced, so a frame
-whose numpy right-hand side overflows gives inf.  It tests finiteness after
-every step and raises :class:`Blowup` naming the time of the first step
-whose state is not finite, or whose monomial power overflows the float
-range: stepping on from an inf could raise another error, such as an
-undefined power of a negative number.
+The loop tests finiteness after every step and raises :class:`Blowup`
+naming the time of the first step whose state is not finite, or whose
+monomial power overflows the float range: stepping on from an inf could
+raise another error, such as an undefined power of a negative number.
+Loops that call numpy run with its overflow and invalid-value warnings
+silenced, so such a right-hand side gives inf; the others compute on
+Python floats alone, which overflow to inf silently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Blowup, EmptyWindow
-from .sigmapi import SigmaPiOde
+from .sigmapi import SigmaPiOde, real_pow
 
 MAX_STEPS = 10_000_000
-D = 9   # constant frames up to this dimension get generated float code
+D = 9   # constant frames up to this dimension are inlined into the loop
 
 
 @dataclass(frozen=True)
@@ -95,46 +105,145 @@ def _steps(t0: float, t1: float, h: float) -> tuple[int, float, float]:
     return n, signed_h, landing
 
 
-def _frame_rhs_list(V):
-    """dx_i/dt = (V x)_i x_i on lists of floats, as generated straight-line
-    source holding only the float reprs of V's entries."""
-    m = len(V)
-    names = ", ".join(f"x{j}" for j in range(m))
-    rows = ", ".join(
-        "(" + " + ".join(f"{float(V[i, j])!r} * x{j}" for j in range(m))
-        + f") * x{i}" for i in range(m))
-    source = f"def f(t, x):\n    [{names}] = x\n    return [{rows}]\n"
-    namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan}
-    exec(source, namespace)
-    return namespace["f"]
+def _horner(jet, u: str) -> str:
+    """``jet(t)`` as :meth:`TimeJet.__call__` evaluates it, ``u`` naming
+    t - center."""
+    expr = "0.0"
+    for c in jet.coeffs[::-1]:
+        expr = f"({expr})*{u} + {float(c)!r}"
+    return expr
 
 
-def _rk4_floats(f, x0, times, h, landing):
-    """RK4 states on lists of floats; ``f(t, x)`` returns a list."""
-    n = len(times) - 1
-    states = np.empty((n + 1, len(x0)))
-    states[0] = x0
-    x = x0.tolist()
-    t0 = float(times[0])
-    isfinite = math.isfinite
-    for k in range(n):
-        dt = landing if k == n - 1 else h
-        t = t0 + h * k
-        half = 0.5 * dt
-        try:
-            k1 = f(t, x)
-            k2 = f(t + half, [a + half * b for a, b in zip(x, k1)])
-            k3 = f(t + half, [a + half * b for a, b in zip(x, k2)])
-            k4 = f(t + dt, [a + dt * b for a, b in zip(x, k3)])
-        except OverflowError as exc:   # a power beyond the float range
-            raise Blowup(f"state overflowed near t = {times[k + 1]}") from exc
-        sixth = dt / 6.0
-        x = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-             for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-        if not (isfinite(sum(x)) or all(map(isfinite, x))):
-            raise Blowup(f"state non-finite near t = {times[k + 1]}")
-        states[k + 1] = x
-    return states
+def _frame_rows(V) -> list[str]:
+    """(V x)_i x_i per component, a template over the stage state ``{0}``,
+    ``{1}``, ..., each entry written as its float repr."""
+    return ["(" + " + ".join(f"{float(v)!r}*{{{j}}}"
+                             for j, v in enumerate(row)) + f")*{{{i}}}"
+            for i, row in enumerate(V)]
+
+
+def _sigma_pi_rows(ode: SigmaPiOde, rationals: list,
+                   centers: dict) -> list[str]:
+    """:meth:`SigmaPiOde.rhs_list` written out from the same terms in their
+    order, as templates like :func:`_frame_rows`.  Appends the exact
+    rational of each power to ``rationals`` (read as ``r<position>``) and
+    numbers the jet centers in ``centers`` (t - center is read as
+    ``u<number>``)."""
+    rows = []
+    for terms in ode._terms:
+        acc = "0.0"
+        for coeff, powers in terms:
+            product = "1.0"
+            for j, value, rat in powers:
+                product += f"*real_pow({{{j}}}, {value!r}, r{len(rationals)})"
+                rationals.append(rat)
+            if type(coeff) is float:
+                coeff = repr(coeff)
+            else:
+                u = f"u{centers.setdefault(coeff.center, len(centers))}"
+                coeff = f"({_horner(coeff, u)})"
+            acc += f" + {coeff}*({product})"
+        rows.append(acc)
+    return rows
+
+
+def _block(level: int, lines: list[str]) -> list[str]:
+    return [" " * level + line for line in lines or ["pass"]]
+
+
+def _loop_source(m: int, rows: tuple[str, ...] | None,
+                 centers: tuple[str, ...], n_rationals: int,
+                 powers: bool) -> str:
+    """Source of the whole RK4 loop of an m-dimensional model whose stage
+    right-hand sides are ``rows`` (None: each stage calls ``F(t, state)``),
+    reading t - center for each center repr in ``centers`` and the rationals
+    ``R`` of its powers, if any.  It is terse (one space a level, none
+    around ``*``) because the compiled loop stays in the cache."""
+    timed = rows is None or bool(centers)
+
+    def names(c: str, n: int = m) -> list[str]:
+        return [f"{c}{j}" for j in range(n)]
+
+    def listed(items: list[str]) -> str:
+        return "[" + ", ".join(items) + "]"
+
+    def stage(out: str, state: str, t: str) -> list[str]:
+        if rows is None:
+            return [f"{listed(names(out))} = "
+                    f"F({t}, {listed(names(state))}).tolist()"]
+        return ([f"u{c} = {t} - {center}" for c, center in enumerate(centers)]
+                + [f"{out}{i} = {row.format(*names(state))}"
+                   for i, row in enumerate(rows)])
+
+    def advance(step: str, k: str) -> list[str]:
+        return [f"y{j} = x{j} + {step}*{k}{j}" for j in range(m)]
+
+    accumulate = [f"p{j} = p{j} + 2.0*k{j}" for j in range(m)]
+    # p sums k1 + 2 k2 + 2 k3 in that order, k holds the latest stage
+    t_half, t_end = ("th", "te") if timed else ("t", "t")
+    stages = (stage("p", "x", "t") + advance("half", "p")
+              + stage("k", "y", t_half) + accumulate + advance("half", "k")
+              + stage("k", "y", t_half) + accumulate + advance("dt", "k")
+              + stage("k", "y", t_end))
+    if powers:   # only a power can raise OverflowError
+        stages = (["try:"] + _block(1, stages)
+                  + ["except OverflowError as exc:",
+                     " raise overflowed(ends[k]) from exc"])
+    # x - x is 0.0 for a finite x and nan for inf or nan
+    check = [f"if {' + '.join(f'x{j} - x{j}' for j in range(m))} != 0.0:",
+             " raise nonfinite(ends[k])"] if m else []
+    step = (["dt = landing if k == last else h", "half = 0.5*dt"]
+            + (["t = t0 + h*k", "th = t + half", "te = t + dt"]
+               if timed else [])
+            + stages
+            + ["sixth = dt/6.0"]
+            + [f"x{j} = x{j} + sixth*(p{j} + k{j})" for j in range(m)]
+            + check
+            + [f"S[o{j}] = x{j}" for j in range(m)])
+    lines = (["def loop(R, F, X, S, ends, steps, last, t0, h, landing):"]
+             + _block(1, [f"{listed(names('r', n_rationals))} = R",
+                          f"{listed(names('x'))} = X",
+                          f"for {listed(['k'] + names('o'))} in steps:"]
+                      + _block(1, step)))
+    return "\n".join(lines) + "\n"
+
+
+def _loop_spec(rhs, numpy_rhs: bool) -> tuple[tuple, list]:
+    """The arguments of :func:`_loop_source` for ``rhs`` and the rationals
+    of its powers; with ``numpy_rhs`` the stages call numpy."""
+    rationals, centers = [], {}
+    if numpy_rhs:
+        rows = None
+    elif isinstance(rhs, SigmaPiOde):
+        rows = tuple(_sigma_pi_rows(rhs, rationals, centers))
+    else:
+        rows = tuple(_frame_rows(rhs.coeffs[0]))
+    spode = isinstance(rhs, SigmaPiOde)
+    return ((rhs.n if spode else rhs.dim, rows, tuple(map(repr, centers)),
+             len(rationals), spode), rationals)
+
+
+def _overflowed(t) -> Blowup:
+    return Blowup(f"state overflowed near t = {t}")
+
+
+def _nonfinite(t) -> Blowup:
+    return Blowup(f"state non-finite near t = {t}")
+
+
+_NAMESPACE = {"__builtins__": {}, "OverflowError": OverflowError,
+              "real_pow": real_pow,
+              "overflowed": _overflowed, "nonfinite": _nonfinite,
+              "inf": math.inf, "nan": math.nan}
+
+
+@functools.lru_cache(maxsize=64)
+def _loop(*spec):
+    """The compiled loop of :func:`_loop_source` (``spec`` are its
+    arguments, all texts and counts), compiled once per spec."""
+    namespace = dict(_NAMESPACE)
+    exec(compile(_loop_source(*spec), "<rk4 loop>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
@@ -142,11 +251,11 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
 
     ``rhs`` is a :class:`QuadraticFrame` or a :class:`SigmaPiOde`.  The
     final step is shortened to land on t1 exactly.  Every model steps in
-    one loop on Python floats; ``rhs`` only selects the right-hand side it
-    calls, as the module docstring lists.  Raises :class:`Blowup` at the
-    first step whose state is not finite or whose monomial power overflows
-    the float range; domain errors from monomial evaluation (undefined
-    powers) propagate as :class:`~spquad.errors.DomainViolation`.
+    one generated loop on Python floats, as the module docstring says.
+    Raises :class:`Blowup` at the first step whose state is not finite or
+    whose monomial power overflows the float range; domain errors from
+    monomial evaluation (undefined powers) propagate as
+    :class:`~spquad.errors.DomainViolation`.
     """
     if not 0.0 < h < math.inf:
         raise ValueError("h must be finite and positive")
@@ -156,23 +265,35 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     if n == 0:
         return Trajectory(np.array([t0]), x0.reshape(1, -1),
                           {"h": h, "rhs": kind})
-    times = t0 + signed_h * np.arange(n + 1)
-    times[-1] = t1
-
-    if isinstance(rhs, SigmaPiOde):
-        f = rhs.rhs_list
+    if isinstance(rhs, SigmaPiOde) or rhs.is_stationary and rhs.dim <= D:
+        F = None
     elif not rhs.is_stationary:
-        f = lambda t, x: rhs.rhs(t, x).tolist()
-    elif rhs.dim <= D:
-        f = _frame_rhs_list(rhs.coeffs[0])
+        F = rhs.rhs
     else:
         V = rhs.coeffs[0]
 
-        def f(t, x):
+        def F(t, x):
             xv = np.array(x)
-            return ((V @ xv) * xv).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = _rk4_floats(f, x0, times, signed_h, landing)
+            return (V @ xv) * xv
+    # compiled before the arrays are allocated: the compiler's transient
+    # memory then does not add to theirs
+    spec, rationals = _loop_spec(rhs, F is not None)
+    loop = _loop(*spec)
+    times = t0 + signed_h * np.arange(n + 1)
+    times[-1] = t1
+    m = len(x0)
+    states = np.empty((n + 1, m))
+    states[0] = x0
+    # step k writes component j at position (k + 1) m + j of the states
+    steps = zip(range(n), *(range(m + j, (n + 1) * m, m) for j in range(m)))
+    args = (rationals, F, x0.tolist(), memoryview(states.reshape(-1)),
+            times[1:], steps, n - 1,
+            float(times[0]), float(signed_h), float(landing))
+    if F is None:   # Python floats only, which overflow to inf silently
+        loop(*args)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            loop(*args)
     return Trajectory(times, states, {"h": h, "rhs": kind})
 
 

@@ -112,7 +112,8 @@ class IndexMultiset:
 
 @dataclass(frozen=True)
 class CoefficientTensor:
-    """Aggregated recursion coefficients for one root index.
+    """Aggregated recursion coefficients for one root index, built to
+    ``order``.
 
     ``layers[(k, s)]`` maps tail multisets to jets holding the sum of
     v^{k,s} over all orderings of the tail.  Stationary frames populate
@@ -121,12 +122,16 @@ class CoefficientTensor:
 
     root: int
     layers: dict[tuple[int, int], dict[IndexMultiset, TimeJet]]
+    order: int
 
     def coefficients(self, x0, t0: float, K: int) -> np.ndarray:
         """c_0 .. c_K of the root component at center t0 from the full
         state x0: c_0 = x_i and c_k = x_i * sum over s and tails of
-        v^{k+1,s}(t0) * prod(x_tail).  K must not exceed the order the
-        tensor was built for."""
+        v^{k+1,s}(t0) * prod(x_tail).  A K above the build order raises
+        ValueError: the layers it needs were never built."""
+        if K > self.order:
+            raise ValueError(f"the tensor was built to order {self.order}, "
+                             f"not {K}")
         x0 = np.asarray(x0, dtype=float)
         c = np.zeros(K + 1)
         c[0] = x0[self.root - 1]
@@ -299,7 +304,7 @@ def coefficient_tensors(frame: QuadraticFrame, K: int,
         tensors[i] = CoefficientTensor(i, {
             ks: {_mset_from_counts(i, counts, cols): TimeJet(p, frame.center)
                  for counts, p in layer.items()}
-            for ks, layer in layers.items() if layer})
+            for ks, layer in layers.items() if layer}, K)
     return tensors
 
 

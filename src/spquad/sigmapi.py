@@ -163,10 +163,11 @@ class SigmaPiOde:
     equation.  ``n == 0`` is allowed and represents the fully projected zero
     system produced by the decomposition cascade.
 
-    :meth:`rhs_list` (and :meth:`rhs`, which wraps it) reads a form built
-    once, at construction: per term the coefficient (a float when constant,
-    else its jet) and the monomial's ``(0-based index, exponent, exact
-    rational or None)`` factors.
+    :meth:`rhs_list` (and :meth:`rhs`, which wraps it) and the RK4 loop
+    that :func:`~spquad.oracle.rk4` generates read a form built once, at
+    construction: per term the coefficient (a float when constant, else
+    its jet) and the monomial's ``(0-based index, exponent, exact rational
+    or None)`` factors.
     """
 
     __slots__ = ("n", "equations", "_terms")
@@ -363,8 +364,12 @@ def structure(ode: SigmaPiOde,
     the decomposition cascade uses it because projecting a system does not
     relax the constraints the deleted monomials imposed.
     """
-    crit = frozenset(j for j, c in enumerate(_domain_classes(ode, inherited),
-                                             start=1)
+    return _structure(ode, _domain_classes(ode, inherited))
+
+
+def _structure(ode: SigmaPiOde, classes: list[DomainClass]) -> StructureReport:
+    """:func:`structure` from the per-index domain classes."""
+    crit = frozenset(j for j, c in enumerate(classes, start=1)
                      if c is DomainClass.UNRESTRICTED)
     sing = set()
     for j in crit:
@@ -446,7 +451,8 @@ def decompose_global(ode: SigmaPiOde) -> list[DecompositionStage]:
     to_orig = {j: j for j in range(1, ode.n + 1)}
     inherited: dict[int, DomainClass] = {}
     while True:
-        report = structure(current, inherited)
+        classes = _domain_classes(current, inherited)
+        report = _structure(current, classes)
         if current.is_zero_system or not report.singularity:
             stages.append(DecompositionStage(
                 current, report, frozenset(), dict(to_orig)))
@@ -454,7 +460,6 @@ def decompose_global(ode: SigmaPiOde) -> list[DecompositionStage]:
         drop_orig = frozenset(to_orig[j] for j in report.singularity)
         stages.append(DecompositionStage(
             current, report, drop_orig, dict(to_orig)))
-        classes = _domain_classes(current, inherited)
         current, renumber = project(current, report.singularity)
         inherited = {new: classes[old - 1] for old, new in renumber.items()}
         back = {new: old for old, new in renumber.items()}

@@ -732,3 +732,42 @@ def test_an_overflowing_error_prints_one_line_on_stderr(tmp_path):
     assert proc.returncode == 4 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("numeric error: Divergence")
+
+
+def _spquad_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+SERIES_ARGV = [sys.executable, "-m", "spquad", "series", str(DATA / "vex.frame"),
+               "--x0", "1,1", "--order", "60"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_standard_output_is_one_usage_error():
+    """Writing to a device with no space left is a usage error with one
+    stderr line: no traceback, and nothing ignored at exit."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(SERIES_ARGV, stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=_spquad_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("usage error: cannot write standard output: "
+                           "No space left on device\n")
+
+
+def test_a_closed_pipe_on_standard_output_is_one_usage_error():
+    """The reader of the pipe is gone before the CLI writes (as with
+    ``| head -1`` once head has exited): a usage error with one stderr
+    line, where a BrokenPipeError ended in a traceback."""
+    proc = subprocess.Popen(SERIES_ARGV + ["--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=_spquad_env())
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.stderr.close()
+    assert code == 2
+    assert err == "usage error: cannot write standard output: Broken pipe\n"

@@ -1,4 +1,8 @@
+import hashlib
+import io
 import math
+import re
+import tokenize
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -8,7 +12,7 @@ import pytest
 
 import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptyWindow
-from spquad.oracle import D, _frame_rhs_list, step_count
+from spquad.oracle import D, _frame_rows, _loop_source, _loop_spec, step_count
 from spquad.parse import parse_frame, parse_ode
 
 from support import random_jet_frame
@@ -247,14 +251,214 @@ def test_time_dependent_frame_is_bitwise_the_numpy_vector_loop(
     assert traj.states.tobytes() == states.tobytes()
 
 
+# --------------------------------------------------------------------------
+# golden trajectories: every model, recorded from the loop before it was
+# generated
+# --------------------------------------------------------------------------
+
+# forward and backward from t0 = 0.1, each with a shortened last step
+GOLDEN_SPANS = [(0.3006, 2e-3), (-0.3006, 2e-3), (2.503, 0.05), (-2.503, 0.05)]
+# starts that leave the domain of a fractional power or blow up early
+SPODE_EXITS = {
+    "bernoulli": [-0.5],
+    "exdom": [2.0, 0.3, -3.0],
+    "five_monomials": [-1.0, 2.0, 0.8],
+}
+# signed zeros, whose sign the sums must keep as the per-stage loop did
+SPODE_ZEROS = {"airy_first_order": [-0.0, -0.0], "linear2": [-0.0, 0.0]}
+# one entry of the second frame of each dimension, cycled over m
+GOLDEN_EXTREMES = [1.797e308, math.inf, -math.inf, math.nan]
+
+
+def golden_models():
+    """(name, model, x0): the .spode fixtures, seeded constant frames of
+    dimension 1 to 12, and the jet frames above."""
+    for name, x0 in sorted(SPODE_STARTS.items()):
+        ode = parse_ode((DATA / f"{name}.spode").read_text())
+        yield name, ode, x0
+        if name in SPODE_EXITS:
+            yield f"{name}-exit", ode, SPODE_EXITS[name]
+        if name in SPODE_ZEROS:
+            yield f"{name}-zero", ode, SPODE_ZEROS[name]
+    for m in range(1, 13):
+        rng = np.random.default_rng(900 + m)
+        V = rng.uniform(-1.0, 1.0, (m, m))
+        x0 = rng.uniform(0.2, 1.0, m)
+        tiny = V.copy()
+        tiny.flat[rng.permutation(m * m)[:2]] = [-0.0, 5e-324][:m * m]
+        start = x0.copy()
+        if m > 1:
+            start[-1] = -0.0
+        yield f"const{m}", sq.QuadraticFrame(tiny.tolist()), start
+        V.flat[rng.integers(m * m)] = GOLDEN_EXTREMES[m % 4]
+        yield f"const{m}-extreme", sq.QuadraticFrame(V.tolist()), x0
+    for param in jet_frames():
+        frame, x0 = param.values
+        yield param.id, frame, x0
+
+
+def golden_outcomes(model, x0):
+    """Per span of GOLDEN_SPANS: the SHA-1 prefix of the times and states,
+    or the error's class and text."""
+    out = []
+    for span, h in GOLDEN_SPANS:
+        try:
+            traj = sq.rk4(model, x0, 0.1, 0.1 + span, h)
+        except (Blowup, DomainViolation) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        data = traj.times.tobytes() + traj.states.tobytes()
+        out.append(hashlib.sha1(data).hexdigest()[:12])
+    return tuple(out)
+
+
+NF = "Blowup: state non-finite near t = "
+OV = "Blowup: state overflowed near t = "
+NEG = "DomainViolation: negative base "
+# golden_outcomes per golden model, recorded from the list-of-floats loop
+# that called a right-hand side per stage
+GOLDEN = {
+    "affine": ("f9e32fabc99b", "e1eafc8ad202", "657995c51b85", "cd488671f8cc"),
+    "airy_first_order": ("b1565ef4ee01", "bc18d4c11356", "57ac26b7159f",
+        "b11681935922"),
+    "airy_first_order-zero": ("d6d1483742cc", "1c48c95b351c", "f962aa287200",
+        "f696f197d568"),
+    "bernoulli": ("db04341ed754", "8afa4cd7ce92", "101835cbd08e",
+        "f28aecd1083f"),
+    "bernoulli-exit": (NEG + "-0.5 with non-integer exponent 0.5",
+        NEG + "-0.5 with non-integer exponent 0.5",
+        NEG + "-0.5 with non-integer exponent 0.5",
+        NEG + "-0.5 with non-integer exponent 0.5"),
+    "exdom": ("a845aae27f83", "0c0d02863fb9", OV + "1.2500000000000002",
+        NEG + "-0.08854559417735963 with non-integer exponent 0.5"),
+    "exdom-exit": (NEG + "-3.0 with non-integer exponent 0.5",
+        NEG + "-3.0 with non-integer exponent 0.5",
+        NEG + "-3.0 with non-integer exponent 0.5",
+        NEG + "-3.0 with non-integer exponent 0.5"),
+    "five_monomials": ("13a7da10938c", "3bff1d7aed5e",
+        OV + "1.5000000000000002", OV + "-0.7000000000000001"),
+    "five_monomials-exit": ("7dfd776b34b7", OV + "0.084", "14d49b0358e1",
+        OV + "0.0"),
+    "linear2": ("b519d10daf56", "ad7040381673", "e095d112b9ea",
+        "4fd1eadb236c"),
+    "linear2-zero": ("15702c041144", "6122506ba855", "3f7e3af7cbc7",
+        "f24e2c7b2b85"),
+    "const1": ("3f3d98aa5dc8", "8b6ee0f810fb", "fa12f59091e5", "4a74a9a3ecf5"),
+    "const1-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const2": ("8354315f7df5", "e1797a2d3fe2", "50c0f3eed85a", "c52ffb24cdbf"),
+    "const2-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const3": ("5e269ad69504", "e40ac5b00806", NF + "1.9500000000000002",
+        "b32fd6c89ee1"),
+    "const3-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const4": ("816097a9a3a1", "9d08c86e4d67", "7aad962721b1",
+        NF + "-0.9500000000000001"),
+    "const4-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const5": ("81ef396ff691", "5cc8d62fd0a7", NF + "1.5500000000000003",
+        NF + "-1.15"),
+    "const5-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const6": ("5bcfdd71cf67", "8a14d738d5f2", NF + "1.85", "b23250bf174a"),
+    "const6-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const7": ("bd6da5995c97", "ea1fc581b9aa", "205dedbe8493",
+        NF + "-0.6000000000000001"),
+    "const7-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const8": ("2a1bab813a1d", "b775b542ded1", NF + "2.2", "25847302ec5a"),
+    "const8-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const9": ("5b7e7a7e2080", "eeb8d47f6535", NF + "1.8000000000000003",
+        NF + "-1.5"),
+    "const9-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const10": ("85827ac45304", "3076c3628394", NF + "1.35", NF + "-1.5"),
+    "const10-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const11": ("6f6fbaf93b0a", "ea092a0502d8", NF + "1.2000000000000002",
+        NF + "-1.1"),
+    "const11-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "const12": ("b5633cc52911", "4996e76eb81e", NF + "1.05",
+        NF + "-0.9500000000000001"),
+    "const12-extreme": (NF + "0.10200000000000001", NF + "0.098",
+        NF + "0.15000000000000002", NF + "0.05"),
+    "vex": ("9661ac10fb6a", "a72e7fb3c417", "9a7801301b1c", "1068022f9daa"),
+    "ex4_variant": ("429e31c71bc8", "2b65a1691a9e", "efd3d69edfec",
+        NF + "-0.9500000000000001"),
+    "jet2": ("c618e35cda9a", "f12ce3ab957f", "6a661c401735", "8974fc6a90f7"),
+    "jet5": ("f4928b4e86f9", "13d24c773ab0", NF + "2.45", "7e41b2a2a035"),
+    "jet10": ("275944107c51", "194b9ee60d18", NF + "1.5000000000000002",
+        NF + "-1.4"),
+    "jet12": ("cf1594b9444d", "3aa07a3fed8f", NF + "1.5000000000000002",
+        NF + "-1.1"),
+}
+
+
+def test_every_model_keeps_its_golden_trajectories():
+    got = {name: golden_outcomes(model, x0)
+           for name, model, x0 in golden_models()}
+    assert got == GOLDEN
+
+
+# the names a generated loop may use: its arguments and locals, the helpers
+# of its namespace, keywords, and numbered per-component names
+LOOP_NAMES = {
+    "def", "for", "in", "if", "else", "try", "except", "as", "raise", "from",
+    "pass",
+    "loop", "R", "F", "X", "S", "ends", "steps", "last", "t0", "h", "landing",
+    "k", "dt", "half", "t", "th", "te", "sixth", "exc", "tolist",
+    "OverflowError", "real_pow", "overflowed", "nonfinite", "inf", "nan"}
+NUMBERED = re.compile(r"[xypkoru][0-9]+")
+
+
+def loop_sources():
+    """A system with rational exponents and a jet, a frame with non-finite
+    and extreme entries, and a time-dependent frame whose stages call
+    numpy."""
+    yield pytest.param(parse_ode((DATA / "exdom.spode").read_text()), False,
+                       id="exdom")
+    V = np.full((3, 3), -0.0)
+    V.flat[:5] = [math.inf, -math.inf, math.nan, 5e-324, 1.797e308]
+    yield pytest.param(sq.QuadraticFrame(V.tolist()), False, id="extremes")
+    yield pytest.param(parse_frame((DATA / "vex.frame").read_text()), True,
+                       id="vex-numpy")
+
+
+@pytest.mark.parametrize("model, numpy_rhs", list(loop_sources()))
+def test_generated_source_holds_only_names_floats_and_operators(
+        model, numpy_rhs):
+    """No text of the input reaches the loop source: it tokenizes to names
+    of a fixed set, float literals that are the repr of their value, and
+    operators."""
+    spec, _ = _loop_spec(model, numpy_rhs)
+    source = _loop_source(*spec)
+    layout = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    floats = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in LOOP_NAMES or NUMBERED.fullmatch(tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert repr(float(tok.string)) == tok.string, tok
+            floats.add(tok.string)
+        else:
+            assert tok.type == tokenize.OP or tok.type in layout, tok
+    assert floats >= {"0.5", "2.0", "6.0"}
+
+
 @pytest.mark.parametrize("v", [5e-324, 1.7976931348623157e308, -0.0])
 def test_generated_rhs_keeps_extreme_entries_exactly(v):
     """The generated source writes each entry as its float repr, which
     reads back as the same double: the 1x1 right-hand side is (v x) x bit
     for bit, the sign of a zero product included."""
-    f = _frame_rhs_list(np.array([[v]]))
+    [row] = _frame_rows(np.array([[v]]))
+    f = eval(f"lambda x: {row.format('x')}", {"__builtins__": {}})
     for x in (1e300, 0.5, -0.0, -3.0):
-        got, want = np.array(f(0.0, [x])), np.array([(v * x) * x])
+        got, want = np.array([f(x)]), np.array([(v * x) * x])
         assert got.tobytes() == want.tobytes()
 
 

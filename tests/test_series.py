@@ -235,6 +235,19 @@ def test_tensors_of_a_truncated_frame_raise_order_budget():
     assert set(sq.coefficient_tensors(frame, 2)) == {1, 2}
 
 
+def test_a_tensor_contracts_only_to_its_build_order():
+    """Orders above the build order have no layers: asking for them raises
+    instead of reading them as zero."""
+    frame = fixture_frame(DATA / "vex.frame")
+    x0 = [0.5, 1.0]
+    tensor = sq.coefficient_tensors(frame, 3)[1]
+    assert tensor.order == 3
+    want = sq.taylor(frame, x0, 0.0, 3).component_row(1)
+    assert np.allclose(tensor.coefficients(x0, 0.0, 3), want, rtol=1e-12)
+    with pytest.raises(ValueError, match="built to order 3, not 6"):
+        tensor.coefficients(x0, 0.0, 6)
+
+
 def _key_digest(tensors):
     text = repr(sorted((i, sorted((ks, sorted(key.pairs for key in layer))
                                   for ks, layer in t.layers.items()))
