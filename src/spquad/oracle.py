@@ -13,10 +13,14 @@ same right-hand side its trajectories are bit for bit those of a numpy
 loop.  Each stage's right-hand side is
 
 * for a :class:`SigmaPiOde`, inlined from its terms in the order of
-  :meth:`SigmaPiOde.rhs_list`: a sum from ``0.0`` of coefficient times
+  :meth:`SigmaPiOde.rhs`: a sum from ``0.0`` of coefficient times
   product from ``1.0`` of one ``real_pow`` call per factor; a constant
   coefficient is its float repr, a jet coefficient Horner's rule on its
-  coefficients' reprs, as :meth:`TimeJet.__call__` evaluates it;
+  coefficients' reprs, as :meth:`TimeJet.__call__` evaluates it.  A
+  system with more than :data:`_NEST` terms in an equation, factors in a
+  term or coefficients in a jet calls its own ``rhs`` instead, which does
+  the same operations: CPython refuses to compile an expression nested a
+  few thousand operations deep or inside more than 200 parentheses;
 * for a constant frame of dimension m <= :data:`D`, inlined from the float
   reprs of V: ``(V x)_i x_i`` with each dot product summed left to right,
   which may differ from numpy's ``V @ x`` in the last bits;
@@ -29,14 +33,15 @@ reads back as the same double (``5e-324``, ``1.7976931348623157e+308`` and
 the sign of ``-0.0`` included), the names ``inf`` and ``nan`` are bound to
 those floats so non-finite entries blow up as with ``V @ x``, and no text
 of the input reaches the source.  Everything else the loop needs (the
-exact rationals of the powers, the numpy right-hand side, the times and
+exact rationals of the powers, the called right-hand side, the times and
 the states array it writes into) is an argument.  The text is thus a safe
-cache key, and compiled loops are kept in a small LRU cache keyed on the
-texts the source is built from: compiling is most of the cost of
-generating (about 0.3 ms for ``affine.spode``, 0.7 ms for
-``five_monomials.spode`` and 2.5 ms for a frame of dimension 9), and a
-two-sided ``check`` runs the same model twice.  The source is terse
-because the cache keeps each compiled loop and its key.
+cache key, and the last compiled loop is kept, keyed on the texts the
+source is built from: compiling is most of the cost of generating (about
+0.3 ms for ``affine.spode``, 0.7 ms for ``five_monomials.spode`` and
+2.5 ms for a frame of dimension 9), and a two-sided ``check`` runs the
+same model twice.  One entry is all a command serves, as each runs one
+model in its own process.  The finiteness check sums its terms as a tree
+of at most :data:`_NEST`, so it compiles for any dimension.
 
 :data:`D` keeps inlined frames where they are the faster right-hand side,
 counting their compile time.  A sweep on dense random constant frames
@@ -50,9 +55,8 @@ The loop tests finiteness after every step and raises :class:`Blowup`
 naming the time of the first step whose state is not finite, or whose
 monomial power overflows the float range: stepping on from an inf could
 raise another error, such as an undefined power of a negative number.
-Loops that call numpy run with its overflow and invalid-value warnings
-silenced, so such a right-hand side gives inf; the others compute on
-Python floats alone, which overflow to inf silently.
+The loop runs with numpy's overflow and invalid-value warnings silenced,
+so a numpy right-hand side gives inf as Python floats do.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .sigmapi import SigmaPiOde, real_pow
 
 MAX_STEPS = 10_000_000
 D = 9   # constant frames up to this dimension are inlined into the loop
+_NEST = 64   # operations one generated expression chains at most
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,19 @@ def _frame_rows(V) -> list[str]:
             for i, row in enumerate(V)]
 
 
+def _inlined(ode: SigmaPiOde) -> bool:
+    """Whether no equation, term or jet of ``ode`` has more than
+    :data:`_NEST` terms, factors or coefficients."""
+    return all(len(terms) <= _NEST
+               and all(len(powers) <= _NEST
+                       and (type(coeff) is float or len(coeff.coeffs) <= _NEST)
+                       for coeff, powers in terms)
+               for terms in ode._terms)
+
+
 def _sigma_pi_rows(ode: SigmaPiOde, rationals: list,
                    centers: dict) -> list[str]:
-    """:meth:`SigmaPiOde.rhs_list` written out from the same terms in their
+    """:meth:`SigmaPiOde.rhs` written out from the same terms in their
     order, as templates like :func:`_frame_rows`.  Appends the exact
     rational of each power to ``rationals`` (read as ``r<position>``) and
     numbers the jet centers in ``centers`` (t - center is read as
@@ -151,14 +166,20 @@ def _block(level: int, lines: list[str]) -> list[str]:
     return [" " * level + line for line in lines or ["pass"]]
 
 
+def _tree_sum(items: list[str]) -> str:
+    """``items`` added as a tree of sums of at most :data:`_NEST` items."""
+    if len(items) <= _NEST:
+        return " + ".join(items)
+    mid = len(items) // 2
+    return f"({_tree_sum(items[:mid])}) + ({_tree_sum(items[mid:])})"
+
+
 def _loop_source(m: int, rows: tuple[str, ...] | None,
-                 centers: tuple[str, ...], n_rationals: int,
-                 powers: bool) -> str:
+                 centers: tuple[str, ...], n_rationals: int) -> str:
     """Source of the whole RK4 loop of an m-dimensional model whose stage
     right-hand sides are ``rows`` (None: each stage calls ``F(t, state)``),
     reading t - center for each center repr in ``centers`` and the rationals
-    ``R`` of its powers, if any.  It is terse (one space a level, none
-    around ``*``) because the compiled loop stays in the cache."""
+    ``R`` of its powers, if any."""
     timed = rows is None or bool(centers)
 
     def names(c: str, n: int = m) -> list[str]:
@@ -185,12 +206,11 @@ def _loop_source(m: int, rows: tuple[str, ...] | None,
               + stage("k", "y", t_half) + accumulate + advance("half", "k")
               + stage("k", "y", t_half) + accumulate + advance("dt", "k")
               + stage("k", "y", t_end))
-    if powers:   # only a power can raise OverflowError
-        stages = (["try:"] + _block(1, stages)
-                  + ["except OverflowError as exc:",
-                     " raise overflowed(ends[k]) from exc"])
+    stages = (["try:"] + _block(1, stages)
+              + ["except OverflowError as exc:",
+                 " raise overflowed(ends[k]) from exc"])
     # x - x is 0.0 for a finite x and nan for inf or nan
-    check = [f"if {' + '.join(f'x{j} - x{j}' for j in range(m))} != 0.0:",
+    check = [f"if {_tree_sum([f'x{j} - x{j}' for j in range(m)])} != 0.0:",
              " raise nonfinite(ends[k])"] if m else []
     step = (["dt = landing if k == last else h", "half = 0.5*dt"]
             + (["t = t0 + h*k", "th = t + half", "te = t + dt"]
@@ -208,19 +228,19 @@ def _loop_source(m: int, rows: tuple[str, ...] | None,
     return "\n".join(lines) + "\n"
 
 
-def _loop_spec(rhs, numpy_rhs: bool) -> tuple[tuple, list]:
+def _loop_spec(rhs, called: bool) -> tuple[tuple, list]:
     """The arguments of :func:`_loop_source` for ``rhs`` and the rationals
-    of its powers; with ``numpy_rhs`` the stages call numpy."""
+    of its powers; when ``called`` the stages call a right-hand side."""
     rationals, centers = [], {}
-    if numpy_rhs:
+    spode = isinstance(rhs, SigmaPiOde)
+    if called:
         rows = None
-    elif isinstance(rhs, SigmaPiOde):
+    elif spode:
         rows = tuple(_sigma_pi_rows(rhs, rationals, centers))
     else:
         rows = tuple(_frame_rows(rhs.coeffs[0]))
-    spode = isinstance(rhs, SigmaPiOde)
     return ((rhs.n if spode else rhs.dim, rows, tuple(map(repr, centers)),
-             len(rationals), spode), rationals)
+             len(rationals)), rationals)
 
 
 def _overflowed(t) -> Blowup:
@@ -237,10 +257,10 @@ _NAMESPACE = {"__builtins__": {}, "OverflowError": OverflowError,
               "inf": math.inf, "nan": math.nan}
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _loop(*spec):
     """The compiled loop of :func:`_loop_source` (``spec`` are its
-    arguments, all texts and counts), compiled once per spec."""
+    arguments, all texts and counts); the last one is kept."""
     namespace = dict(_NAMESPACE)
     exec(compile(_loop_source(*spec), "<rk4 loop>", "exec"), namespace)
     return namespace["loop"]
@@ -265,10 +285,12 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     if n == 0:
         return Trajectory(np.array([t0]), x0.reshape(1, -1),
                           {"h": h, "rhs": kind})
-    if isinstance(rhs, SigmaPiOde) or rhs.is_stationary and rhs.dim <= D:
-        F = None
+    if isinstance(rhs, SigmaPiOde):
+        F = None if _inlined(rhs) else rhs.rhs
     elif not rhs.is_stationary:
         F = rhs.rhs
+    elif rhs.dim <= D:
+        F = None
     else:
         V = rhs.coeffs[0]
 
@@ -289,11 +311,8 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     args = (rationals, F, x0.tolist(), memoryview(states.reshape(-1)),
             times[1:], steps, n - 1,
             float(times[0]), float(signed_h), float(landing))
-    if F is None:   # Python floats only, which overflow to inf silently
+    with np.errstate(over="ignore", invalid="ignore"):
         loop(*args)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            loop(*args)
     return Trajectory(times, states, {"h": h, "rhs": kind})
 
 

@@ -163,11 +163,10 @@ class SigmaPiOde:
     equation.  ``n == 0`` is allowed and represents the fully projected zero
     system produced by the decomposition cascade.
 
-    :meth:`rhs_list` (and :meth:`rhs`, which wraps it) and the RK4 loop
-    that :func:`~spquad.oracle.rk4` generates read a form built once, at
-    construction: per term the coefficient (a float when constant, else
-    its jet) and the monomial's ``(0-based index, exponent, exact rational
-    or None)`` factors.
+    :meth:`rhs` and the RK4 loop that :func:`~spquad.oracle.rk4`
+    generates read a form built once, at construction: per term the
+    coefficient (a float when constant, else its jet) and the monomial's
+    ``(0-based index, exponent, exact rational or None)`` factors.
     """
 
     __slots__ = ("n", "equations", "_terms")
@@ -216,10 +215,7 @@ class SigmaPiOde:
 
     def rhs(self, t: float, x: Sequence[float]) -> np.ndarray:
         """Evaluate the right-hand side at (t, x), summing terms in order."""
-        return np.array(self.rhs_list(t, np.asarray(x, dtype=float).tolist()))
-
-    def rhs_list(self, t: float, xs: list[float]) -> list[float]:
-        """:meth:`rhs` on a list of floats, returning a list of floats."""
+        xs = np.asarray(x, dtype=float).tolist()
         out = []
         for terms in self._terms:
             acc = 0.0
@@ -230,7 +226,7 @@ class SigmaPiOde:
                 acc += (coeff if type(coeff) is float
                         else float(coeff(t))) * mono
             out.append(acc)
-        return out
+        return np.array(out)
 
     def __eq__(self, other):
         if not isinstance(other, SigmaPiOde):

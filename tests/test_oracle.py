@@ -494,12 +494,38 @@ def test_non_finite_entries_blow_up_as_on_the_numpy_path(v, m):
     assert str(info.value) == message
 
 
+def large_models():
+    """Systems whose loop, inlined whole, nests too deep to compile: 3000
+    terms in one equation, a jet of 250 coefficients, and a monomial of
+    2500 factors, whose finiteness check then tests 2500 components."""
+    yield pytest.param(
+        sq.SigmaPiOde(1, [[(1e-9, {1: F(k, 1000)}) for k in range(3000)]]),
+        id="terms")
+    yield pytest.param(
+        sq.SigmaPiOde(1, [[(sq.TimeJet([1e-3] * 250), {1: 1})]]), id="jet")
+    yield pytest.param(
+        sq.SigmaPiOde(2500, [[(1e-3, {j: 1 for j in range(1, 2501)})]]),
+        id="factors")
+
+
+@pytest.mark.parametrize("ode", list(large_models()))
+def test_large_systems_compile_and_match_the_numpy_loop(ode):
+    x0 = np.ones(ode.n)
+    traj = sq.rk4(ode, x0, 0.0, 2.5e-3, 1e-3)
+    _, states, message = numpy_rk4(ode.rhs, x0, 0.0, 2.5e-3, 1e-3)
+    assert message is None
+    assert traj.states[-1, 0] != 1.0
+    assert traj.states.tobytes() == states.tobytes()
+
+
 def test_states_go_into_one_preallocated_array():
     """10 000 steps of a 6-dim frame: the traced peak stays within 1.2x of
     the states array (the times array adds 1/6 of it), where a list of
-    per-step lists would take several times as much."""
+    per-step lists would take several times as much.  A first short run
+    compiles the loop, so the bound measures the arrays alone."""
     m = 6
     frame = sq.QuadraticFrame((0.01 * np.eye(m)).tolist())
+    sq.rk4(frame, np.ones(m), 0.0, 1e-4, 1e-4)
     tracemalloc.start()
     try:
         traj = sq.rk4(frame, np.ones(m), 0.0, 1.0, 1e-4)
