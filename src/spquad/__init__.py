@@ -18,8 +18,8 @@ from .quadratize import (QuadraticFrame, Quadratization,
                          phi_eval, quadratize_canonical, quadratize_inclusive)
 from .series import (CoefficientTensor, IndexMultiset, RadiusWarning,
                      SeriesSolution, bound_envelope, coefficient_tensors,
-                     continue_to, convergence_bound, evaluate,
-                     observable_series, support, taylor)
+                     continue_to, convergence_bound, evaluate, support,
+                     taylor)
 from .sigmapi import (DecompositionStage, DomainClass, DomainDescriptor,
                       Monomial, SigmaPiOde, StructureReport, analyze_domain,
                       decompose_global, project, structure)
@@ -36,7 +36,6 @@ __all__ = [
     "SeriesSolution", "CoefficientTensor", "IndexMultiset", "RadiusWarning",
     "support", "taylor", "coefficient_tensors",
     "convergence_bound", "bound_envelope", "evaluate", "continue_to",
-    "observable_series",
     "Trajectory", "CompareReport", "rk4", "compare",
     "parse_ode", "serialize_ode", "parse_frame", "serialize_frame",
     "SourceSpan", "errors",

@@ -91,10 +91,6 @@ class Divergence(NumericError):
     """A computed value became non-finite."""
 
 
-class MixedCenters(NumericError):
-    """Series with different expansion centers were combined."""
-
-
 class Blowup(NumericError):
     """Reference integration or the coordinate map produced a non-finite
     state."""

@@ -272,7 +272,9 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     ``rhs`` is a :class:`QuadraticFrame` or a :class:`SigmaPiOde`.  The
     final step is shortened to land on t1 exactly.  Every model steps in
     one generated loop on Python floats, as the module docstring says.
-    Raises :class:`Blowup` at the first step whose state is not finite or
+    Raises ``ValueError`` for an h that is not finite and positive, an x0
+    that is not one value per component or a t0 or t1 that is not finite,
+    and :class:`Blowup` at the first step whose state is not finite or
     whose monomial power overflows the float range; domain errors from
     monomial evaluation (undefined powers) propagate as
     :class:`~spquad.errors.DomainViolation`.
@@ -280,6 +282,11 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     if not 0.0 < h < math.inf:
         raise ValueError("h must be finite and positive")
     x0 = np.asarray(x0, dtype=float)
+    m = rhs.n if isinstance(rhs, SigmaPiOde) else rhs.dim
+    if x0.shape != (m,):
+        raise ValueError(f"x0 has shape {x0.shape}, the model dimension is {m}")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t0 = {t0} and t1 = {t1} must be finite")
     kind = type(rhs).__name__
     n, signed_h, landing = _steps(t0, t1, h)
     if n == 0:
@@ -303,7 +310,6 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     loop = _loop(*spec)
     times = t0 + signed_h * np.arange(n + 1)
     times[-1] = t1
-    m = len(x0)
     states = np.empty((n + 1, m))
     states[0] = x0
     # step k writes component j at position (k + 1) m + j of the states

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -230,9 +230,7 @@ def quadratize_inclusive(ode: SigmaPiOde) -> Quadratization:
             if mono == square[i]:
                 identity[i] = q.flat_index(i, l)
                 break
-    return Quadratization(
-        source=q.source, pi=q.pi, phi=q.phi, pairs=q.pairs,
-        driver_dim=q.driver_dim, inclusive=True, identity=identity)
+    return replace(q, inclusive=True, identity=identity)
 
 
 def add_fictitious_monomial(ode: SigmaPiOde, host: int, q: Monomial) -> SigmaPiOde:
@@ -240,7 +238,8 @@ def add_fictitious_monomial(ode: SigmaPiOde, host: int, q: Monomial) -> SigmaPiO
 
     The solutions do not change, but the quadratization gains the coordinate
     x_host^{-1} q, from which the monomial observable q(x) is recoverable as
-    that coordinate times x_host.
+    that coordinate times x_host.  Appending x_host * q instead makes q
+    itself a coordinate.
     """
     if not 1 <= host <= ode.n:
         raise ValueError(f"host index {host} out of range")
@@ -263,9 +262,7 @@ def inverse_driver(ode: SigmaPiOde) -> Quadratization:
     phi_w = tuple(
         _phi_monomial(i, ode.terms(i)[l - 1][1], negate=True)
         for (i, l) in q.pairs)
-    return Quadratization(
-        source=q.source, pi=q.pi, phi=phi_w, pairs=q.pairs,
-        driver_dim=q.driver_dim, inverse=True)
+    return replace(q, phi=phi_w, inverse=True)
 
 
 def driver_frame(q: Quadratization) -> QuadraticFrame:
@@ -299,10 +296,7 @@ def inverse_joint_frame(q: Quadratization) -> QuadraticFrame:
     reading their multipliers off the Z block.  Along trajectories started
     at W = Z^{-1} the products Z_{s} W_{s} stay equal to 1.
     """
-    base = driver_frame(
-        q if not q.inverse else Quadratization(
-            source=q.source, pi=q.pi, phi=q.phi, pairs=q.pairs,
-            driver_dim=q.driver_dim))
+    base = driver_frame(replace(q, inverse=False))
     d = base.dim
     zero = TimeJet.zero()
     rows = []

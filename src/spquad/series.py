@@ -45,12 +45,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .errors import (Divergence, DomainExit, MixedCenters, OrderBudget,
-                     OutOfRadius, StepLimit, ZeroComponent)
+from .errors import (Divergence, DomainExit, OrderBudget, OutOfRadius,
+                     StepLimit, ZeroComponent)
 from .jets import TimeJet
 from .quadratize import QuadraticFrame
 
@@ -333,7 +333,8 @@ def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
 
 def convergence_bound(frame: QuadraticFrame, x0, t0: float = 0.0) -> float:
     """Guaranteed lower bound 1 / (sigma * v_M * x_M) on the convergence
-    radius; +inf when the frame support is empty or all entries vanish at t0."""
+    radius; +inf when the frame support is empty, all entries vanish at t0
+    or x0 is zero (the solution is then x = 0)."""
     x0 = np.asarray(x0, dtype=float)
     cols, _ = support(frame)
     sigma = len(cols)
@@ -343,6 +344,8 @@ def convergence_bound(frame: QuadraticFrame, x0, t0: float = 0.0) -> float:
     if v_M == 0.0:
         return float("inf")
     x_M = float(np.max(np.abs(x0)))
+    if x_M == 0.0:
+        return float("inf")
     return 1.0 / (sigma * v_M * x_M)
 
 
@@ -440,6 +443,8 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
+    if not (math.isfinite(t0) and math.isfinite(t_target)):
+        raise ValueError(f"t0 = {t0} and t_target = {t_target} must be finite")
     x = np.asarray(x0, dtype=float)
     scale = np.maximum(np.abs(x), 1e-300)
     growth_cap = 1e9 * float(np.max(scale))
@@ -491,77 +496,3 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
         if t == t_target:
             return x.copy(), path
     raise StepLimit(f"did not reach {t_target} within {max_steps} recenters")
-
-
-# --------------------------------------------------------------------------
-# observables
-# --------------------------------------------------------------------------
-
-def _ps_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(a)
-    return np.convolve(a, b)[:n]
-
-def _ps_inv(a: np.ndarray) -> np.ndarray:
-    if a[0] == 0.0:
-        raise ZeroComponent("cannot invert a series with zero constant term")
-    n = len(a)
-    b = np.zeros(n)
-    b[0] = 1.0 / a[0]
-    for k in range(1, n):
-        b[k] = -np.dot(a[1:k + 1], b[k - 1::-1]) / a[0]
-    return b
-
-def _ps_pow(a: np.ndarray, e: int) -> np.ndarray:
-    n = len(a)
-    if e < 0:
-        return _ps_pow(_ps_inv(a), -e)
-    out = np.zeros(n)
-    out[0] = 1.0
-    base = a
-    while e:
-        if e & 1:
-            out = _ps_mul(out, base)
-        base = _ps_mul(base, base)
-        e >>= 1
-    return out
-
-
-def observable_series(series, q: Mapping[int, float]) -> SeriesSolution:
-    """Series of the monomial observable prod_i x_i^{q_i} with integer
-    exponents, composed by Cauchy products of the component series.
-
-    ``series`` may be one solution or a sequence of solutions sharing center
-    (and truncated to the smallest common order).  Non-integer exponents
-    need the fictitious-monomial route through the quadratizer instead.
-    """
-    sources = [series] if isinstance(series, SeriesSolution) else list(series)
-    if not sources:
-        raise ValueError("no series given")
-    t0 = sources[0].t0
-    for s in sources[1:]:
-        if s.t0 != t0:
-            raise MixedCenters(f"series centers differ: {s.t0} vs {t0}")
-    K = min(s.order for s in sources)
-
-    def _row(i: int) -> np.ndarray:
-        for s in sources:
-            if i in s.components:
-                return s.normalized()[s.components.index(i), :K + 1]
-        raise ValueError(f"no series supplies component {i}")
-
-    acc = np.zeros(K + 1)
-    acc[0] = 1.0
-    for i, e in sorted(q.items()):
-        if e != int(e):
-            raise ValueError(
-                f"exponent {e} on component {i} is not an integer; use a "
-                "fictitious monomial and re-quadratize")
-        e = int(e)
-        if e == 0:
-            continue
-        acc = _ps_mul(acc, _ps_pow(_row(i), e))
-
-    return SeriesSolution(
-        t0=t0, x0=np.array([acc[0]]), order=K, components=(1,),
-        coeffs=(acc * _FACTORIALS[:K + 1]).reshape(1, -1),
-        radius_bound=min(s.radius_bound for s in sources))

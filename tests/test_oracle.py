@@ -65,6 +65,25 @@ def test_rk4_rejects_a_step_that_is_not_finite_and_positive(h):
         sq.rk4(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 1.0, h)
 
 
+@pytest.mark.parametrize("model, x0, t0, t1, message", [
+    (sq.QuadraticFrame([[1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0, 1.0], 0.0, 0.1,
+     r"x0 has shape \(3,\), the model dimension is 2"),
+    (sq.QuadraticFrame([[1.0, 0.0], [0.0, 1.0]]), [1.0], 0.0, 0.1,
+     r"x0 has shape \(1,\), the model dimension is 2"),
+    (sq.SigmaPiOde(1, [[(1.0, {1: 2})]]), [[1.0]], 0.0, 0.1,
+     r"x0 has shape \(1, 1\), the model dimension is 1"),
+    (sq.QuadraticFrame([[1.0]]), [1.0], 0.0, math.nan,
+     "t0 = 0.0 and t1 = nan must be finite"),
+    (sq.QuadraticFrame([[1.0]]), [1.0], -math.inf, 0.0,
+     "t0 = -inf and t1 = 0.0 must be finite"),
+], ids=["three-values-two-components", "one-value-two-components",
+        "nested-x0", "nan-t1", "infinite-t0"])
+def test_rk4_rejects_a_start_that_does_not_fit_the_model(model, x0, t0, t1,
+                                                         message):
+    with pytest.raises(ValueError, match=message):
+        sq.rk4(model, x0, t0, t1, 0.01)
+
+
 def test_rk4_blowup_detected():
     with pytest.raises(Blowup):
         sq.rk4(sq.QuadraticFrame([[1.0]]), [1.0], 0.0, 2.0, 1e-3)

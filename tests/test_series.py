@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spquad as sq
-from spquad.errors import (Divergence, DomainExit, MixedCenters,
-                           OrderBudget, StepLimit, ZeroComponent)
+from spquad.errors import (Divergence, DomainExit, OrderBudget, StepLimit,
+                           ZeroComponent)
 from spquad.series import RadiusWarning, _tail_step
 from support import (airy_first_order, airy_frame_expected, airy_series,
                      cauchy_exact, fixture_frame, ordered_string_ck,
@@ -584,6 +584,13 @@ def test_radius_examples():
     assert sq.convergence_bound(exp_frame(1.0), [3.0, 1.0]) == pytest.approx(1 / 3)
 
 
+def test_a_zero_start_has_no_finite_radius_bound():
+    # x = 0 solves every driver-type system, so nothing bounds its radius
+    frame = sq.QuadraticFrame([[1.0]])
+    assert sq.convergence_bound(frame, [0.0]) == float("inf")
+    assert sq.bound_envelope(frame, [0.0], 0.0, 100.0) == 0.0
+
+
 def test_radius_never_exceeds_root_test_estimate():
     rng = np.random.default_rng(137)
     for _ in range(10):
@@ -731,6 +738,13 @@ def test_continuation_theta_validation():
         sq.continue_to(exp_frame(), [1.0, 1.0], 0.0, 1.0, theta=0.0)
 
 
+@pytest.mark.parametrize("t0, target", [(0.0, math.nan), (math.nan, 1.0),
+                                        (0.0, math.inf), (-math.inf, 0.0)])
+def test_continuation_rejects_a_time_that_is_not_finite(t0, target):
+    with pytest.raises(ValueError, match="must be finite"):
+        sq.continue_to(exp_frame(), [0.5, 1.0], t0, target)
+
+
 def test_continuation_domain_exit():
     # x' = -x decays; by t = 60 the value underflows the zero tolerance
     frame = sq.QuadraticFrame([[0.0, -1.0], [0.0, 0.0]])
@@ -831,51 +845,3 @@ def test_strict_tail_tolerance_halves_and_succeeds():
 def test_zero_tail_tolerance_runs_out_of_halvings():
     with pytest.raises(StepLimit):
         sq.continue_to(exp_frame(1.0), [1.0, 1.0], 0.0, 2.0, K=20, tail_tol=0.0)
-
-
-# --------------------------------------------------------------------------
-# observables
-# --------------------------------------------------------------------------
-
-def test_observable_unit_exponent_is_identity():
-    sol = sq.taylor(exp_frame(0.8), [1.0, 1.0], 0.0, 12)
-    g = sq.observable_series(sol, {1: 1})
-    assert np.allclose(g.coeffs[0], sol.component_row(1))
-
-
-def test_observable_empty_exponents_is_one():
-    sol = sq.taylor(exp_frame(0.8), [1.0, 1.0], 0.0, 12)
-    g = sq.observable_series(sol, {})
-    assert g.coeffs[0, 0] == 1.0 and np.all(g.coeffs[0, 1:] == 0.0)
-
-
-def test_observable_square_of_exponential():
-    sol = sq.taylor(exp_frame(1.0), [1.0, 1.0], 0.0, 20)
-    g = sq.observable_series(sol, {1: 2})
-    vals, _ = sq.evaluate(g, 0.5)
-    assert vals[0] == pytest.approx(np.e, rel=1e-6)
-
-
-def test_observable_negative_exponent_via_reciprocal():
-    sol = sq.taylor(exp_frame(1.0), [2.0, 1.0], 0.0, 18)
-    g = sq.observable_series(sol, {1: -1})
-    vals, _ = sq.evaluate(g, 0.3)
-    assert vals[0] == pytest.approx(np.exp(-0.3) / 2.0, rel=1e-10)
-
-
-def test_observable_combines_components_from_several_solutions():
-    frame = exp_frame(0.6)
-    a = sq.taylor(frame, [1.5, 1.0], 0.0, 16, components=[1])
-    b = sq.taylor(frame, [1.5, 1.0], 0.0, 16, components=[2])
-    g = sq.observable_series([a, b], {1: 2, 2: 1})
-    vals, _ = sq.evaluate(g, 0.4)
-    assert vals[0] == pytest.approx((1.5 * np.exp(0.6 * 0.4)) ** 2, rel=1e-9)
-
-
-def test_observable_rejects_mixed_centers_and_fractions():
-    a = sq.taylor(exp_frame(), [1.0, 1.0], 0.0, 6)
-    b = sq.taylor(exp_frame(), [1.0, 1.0], 1.0, 6)
-    with pytest.raises(MixedCenters):
-        sq.observable_series([a, b], {1: 1})
-    with pytest.raises(ValueError):
-        sq.observable_series(a, {1: 0.5})
