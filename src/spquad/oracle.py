@@ -14,9 +14,14 @@ loop.  Each stage's right-hand side is
 
 * for a :class:`SigmaPiOde`, inlined from its terms in the order of
   :meth:`SigmaPiOde.rhs`: a sum from ``0.0`` of coefficient times
-  product from ``1.0`` of one ``real_pow`` call per factor; a constant
-  coefficient is its float repr, a jet coefficient Horner's rule on its
-  coefficients' reprs, as :meth:`TimeJet.__call__` evaluates it.  A
+  product from ``1.0`` of its factors; a constant coefficient is its
+  float repr, a jet coefficient Horner's rule on its coefficients' reprs,
+  as :meth:`TimeJet.__call__` evaluates it.  A factor x^1 is written as
+  x, any other as ``pow(x, v)`` (``math.pow``) for x > 0 and a call of
+  ``real_pow`` otherwise.  Both give the bits of ``real_pow``, which
+  returns ``math.pow(x, v)`` for x > 0 and raises the same errors for
+  other bases; x^1 differs from it only at x = -0.0, and the leading
+  ``0.0 +`` of the sum erases the sign of a zero term.  A
   system with more than :data:`_NEST` terms in an equation, factors in a
   term or coefficients in a jet calls its own ``rhs`` instead, which does
   the same operations: CPython refuses to compile an expression nested a
@@ -141,17 +146,22 @@ def _sigma_pi_rows(ode: SigmaPiOde, rationals: list,
                    centers: dict) -> list[str]:
     """:meth:`SigmaPiOde.rhs` written out from the same terms in their
     order, as templates like :func:`_frame_rows`.  Appends the exact
-    rational of each power to ``rationals`` (read as ``r<position>``) and
-    numbers the jet centers in ``centers`` (t - center is read as
-    ``u<number>``)."""
+    rational of each power other than x^1 to ``rationals`` (read as
+    ``r<position>``) and numbers the jet centers in ``centers`` (t - center
+    is read as ``u<number>``)."""
     rows = []
     for terms in ode._terms:
         acc = "0.0"
         for coeff, powers in terms:
             product = "1.0"
             for j, value, rat in powers:
-                product += f"*real_pow({{{j}}}, {value!r}, r{len(rationals)})"
-                rationals.append(rat)
+                if value == 1.0:
+                    product += f"*{{{j}}}"
+                else:
+                    product += (f"*(pow({{{j}}}, {value!r}) if {{{j}}} > 0.0 "
+                                f"else real_pow({{{j}}}, {value!r}, "
+                                f"r{len(rationals)}))")
+                    rationals.append(rat)
             if type(coeff) is float:
                 coeff = repr(coeff)
             else:
@@ -252,7 +262,7 @@ def _nonfinite(t) -> Blowup:
 
 
 _NAMESPACE = {"__builtins__": {}, "OverflowError": OverflowError,
-              "real_pow": real_pow,
+              "pow": math.pow, "real_pow": real_pow,
               "overflowed": _overflowed, "nonfinite": _nonfinite,
               "inf": math.inf, "nan": math.nan}
 
@@ -336,15 +346,18 @@ class CompareReport:
         return self.out_of_radius > 0
 
 
-def compare(series_eval, traj: Trajectory, window: tuple[float, float],
+def compare(series, traj: Trajectory, window: tuple[float, float],
             t0: float | None = None,
             radius: float | None = None) -> CompareReport:
-    """Max and RMS relative error of ``series_eval(t)`` against trajectory
-    samples with window[0] <= t <= window[1].
+    """Max and RMS relative error of the series against trajectory samples
+    with window[0] <= t <= window[1].
 
-    When the series center and radius bound are supplied, samples beyond the
-    bound are counted in ``out_of_radius`` (they still enter the error
-    statistics; callers decide what to make of them).
+    ``series`` is either an array of the series states at ``traj.times``,
+    of the shape of ``traj.states`` (ValueError otherwise), or a callable
+    ``series(t)`` giving the state at one time, called once per sample in
+    the window.  When the series center and radius bound are supplied,
+    samples beyond the bound are counted in ``out_of_radius`` (they still
+    enter the error statistics; callers decide what to make of them).
     """
     a, b = float(window[0]), float(window[1])
     if a > b:
@@ -354,15 +367,20 @@ def compare(series_eval, traj: Trajectory, window: tuple[float, float],
         raise EmptyWindow(f"no trajectory samples in [{a}, {b}]")
     times = traj.times[mask]
     states = traj.states[mask]
-    rels = []
+    if callable(series):
+        got = np.empty(states.shape)
+        for i, t in enumerate(times):
+            got[i] = series(t)
+    else:
+        got = np.asarray(series, dtype=float)
+        if got.shape != traj.states.shape:
+            raise ValueError(f"series has shape {got.shape}, the "
+                             f"trajectory states {traj.states.shape}")
+        got = got[mask]
+    rels = np.abs(got - states) / np.maximum(np.abs(states), 1e-12)
     out = 0
-    for t, ref in zip(times, states):
-        got = np.asarray(series_eval(t), dtype=float)
-        denom = np.maximum(np.abs(ref), 1e-12)
-        rels.append(np.abs(got - ref) / denom)
-        if radius is not None and t0 is not None and abs(t - t0) >= radius:
-            out += 1
-    rels = np.array(rels)
+    if radius is not None and t0 is not None:
+        out = int(np.count_nonzero(np.abs(times - t0) >= radius))
     with np.errstate(over="ignore"):   # relative errors above 1e154: inf RMS
         rms = float(np.sqrt(np.mean(rels ** 2)))
     return CompareReport(

@@ -312,11 +312,13 @@ def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
            components: Iterable[int] | None = None) -> SeriesSolution:
     """Series coefficients for an arbitrary (constant or time-jet) frame,
     from the Cauchy-product recursion.  Truncated frame jets must carry at
-    least K trustworthy orders, else :class:`OrderBudget` is raised.
+    least K trustworthy orders, else :class:`OrderBudget` is raised; an x0
+    that is not one finite value per component raises ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (frame.dim,):
         raise ValueError(f"x0 must have {frame.dim} components")
+    _check_finite(x0)
     if np.any(x0 == 0.0):
         bad = int(np.nonzero(x0 == 0.0)[0][0]) + 1
         raise ZeroComponent(f"x0 component {bad} is zero")
@@ -331,11 +333,21 @@ def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
 # bounds
 # --------------------------------------------------------------------------
 
+def _check_finite(x0: np.ndarray) -> None:
+    finite = np.isfinite(x0)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"x0 component {bad + 1} is {x0.flat[bad]}, "
+                         "not finite")
+
+
 def convergence_bound(frame: QuadraticFrame, x0, t0: float = 0.0) -> float:
     """Guaranteed lower bound 1 / (sigma * v_M * x_M) on the convergence
     radius; +inf when the frame support is empty, all entries vanish at t0
-    or x0 is zero (the solution is then x = 0)."""
+    or x0 is zero (the solution is then x = 0).  Raises ValueError for a
+    component of x0 that is not finite."""
     x0 = np.asarray(x0, dtype=float)
+    _check_finite(x0)
     cols, _ = support(frame)
     sigma = len(cols)
     if sigma == 0:

@@ -4,16 +4,19 @@ import math
 import re
 import tokenize
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptyWindow
 from spquad.oracle import D, _frame_rows, _loop_source, _loop_spec, step_count
 from spquad.parse import parse_frame, parse_ode
+from spquad.series import RadiusWarning
 
 from support import random_jet_frame
 
@@ -219,6 +222,54 @@ def test_spode_trajectory_is_bitwise_the_numpy_vector_loop(name, span, h):
     assert message is None and abs(times[-1] - times[-2]) < h / 2
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+
+
+# exponents of every kind of factor: x^1, integer and negative powers,
+# roots of odd and even denominator and a power with no exact rational
+EXPONENTS = [1, 2, 3, -1, -3, F(1, 2), F(1, 3), F(-1, 5), F(2, 3), 0.7]
+# signed zeros, bases a negative power overflows, and negative bases
+STARTS = [-0.0, 0.0, 1e-300, -1e-300, 0.3, -0.3, 1.7, -2.5]
+
+
+@st.composite
+def sigma_pi_odes(draw):
+    """A system of n <= 3 equations of 1 to 3 terms and its start."""
+    n = draw(st.integers(1, 3))
+    term = st.tuples(st.sampled_from([1.0, -0.5, 2.0, -1.25]),
+                     st.dictionaries(st.integers(1, n),
+                                     st.sampled_from(EXPONENTS), max_size=n))
+    ode = sq.SigmaPiOde(n, [draw(st.lists(term, min_size=1, max_size=3))
+                            for _ in range(n)])
+    return ode, [draw(st.sampled_from(STARTS)) for _ in range(n)]
+
+
+def outcome(run):
+    """The state bytes of a run, or its error's class and text."""
+    try:
+        times, states, message = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if message is not None:
+        return "Blowup", message
+    return times.tobytes(), states.tobytes()
+
+
+def loop_run(ode, x0, span):
+    traj = sq.rk4(ode, x0, 0.0, span, 0.01)
+    return traj.times, traj.states, None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(sigma_pi_odes(), st.sampled_from([0.05, -0.05, 0.5]))
+def test_generated_factors_keep_every_outcome_of_the_numpy_loop(case, span):
+    """The loop writes x^1 as x and takes math.pow for a positive base,
+    calling real_pow only for the others: the states, the Blowup and the
+    domain errors are those of the numpy loop on the system's own rhs, the
+    sign of a zero base included."""
+    ode, x0 = case
+    got = outcome(lambda: loop_run(ode, x0, span))
+    want = outcome(lambda: numpy_rk4(ode.rhs, x0, 0.0, span, 0.01))
+    assert got == want
 
 
 @pytest.mark.parametrize("m", range(1, D + 3))
@@ -430,7 +481,7 @@ LOOP_NAMES = {
     "pass",
     "loop", "R", "F", "X", "S", "ends", "steps", "last", "t0", "h", "landing",
     "k", "dt", "half", "t", "th", "te", "sixth", "exc", "tolist",
-    "OverflowError", "real_pow", "overflowed", "nonfinite", "inf", "nan"}
+    "OverflowError", "pow", "real_pow", "overflowed", "nonfinite", "inf", "nan"}
 NUMBERED = re.compile(r"[xypkoru][0-9]+")
 
 
@@ -619,3 +670,46 @@ def test_compare_empty_window():
     traj = sq.rk4(frame, [1.0], 0.0, 0.1, 0.01)
     with pytest.raises(EmptyWindow):
         sq.compare(lambda t: traj.at(t), traj, (5.0, 6.0))
+
+
+def two_sided(frame, x0, a, b, h):
+    """The reference of a check: RK4 from 0 back to a and on to b, so t0 = 0
+    is sampled twice."""
+    back = sq.rk4(frame, x0, 0.0, a, h)
+    fwd = sq.rk4(frame, x0, 0.0, b, h)
+    return sq.Trajectory(np.concatenate([back.times[::-1], fwd.times]),
+                         np.concatenate([back.states[::-1], fwd.states]), {})
+
+
+@pytest.mark.parametrize("x0, side, window, n_samples, out_of_radius", [
+    ([1.0, 1.0], 0.3, (-0.2, 0.25), 47, 0),
+    ([3.0, 1.0], 0.9, (-0.9, 0.9), 182, 114),
+], ids=["inside-radius", "beyond-radius"])
+def test_compare_takes_an_array_or_a_callable_alike(x0, side, window,
+                                                    n_samples, out_of_radius):
+    """The same report from the series states at the trajectory's times
+    and from a callable: the first window masks samples out on both sides,
+    the second has samples beyond the radius bound 1/3."""
+    frame = sq.QuadraticFrame([[0.0, 1.0], [0.0, 0.0]])
+    sol = sq.taylor(frame, x0, 0.0, 12)
+    traj = two_sided(frame, x0, -side, side, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RadiusWarning)
+        vals, _ = sq.evaluate(sol, traj.times)
+        by_call = sq.compare(lambda t: sq.evaluate(sol, t)[0], traj, window,
+                             t0=0.0, radius=sol.radius_bound)
+    by_array = sq.compare(vals, traj, window, t0=0.0, radius=sol.radius_bound)
+    assert by_array == by_call
+    assert by_array.max_rel.hex() == by_call.max_rel.hex()
+    assert by_array.rms_rel.hex() == by_call.rms_rel.hex()
+    assert (by_array.n_samples, by_array.out_of_radius) == (n_samples,
+                                                            out_of_radius)
+
+
+@pytest.mark.parametrize("shape", [(20, 2), (21, 1), (21,)])
+def test_compare_rejects_an_array_of_another_shape(shape):
+    frame = sq.QuadraticFrame([[0.0, 1.0], [0.0, 0.0]])
+    traj = sq.rk4(frame, [1.0, 1.0], 0.0, 0.2, 0.01)
+    assert traj.states.shape == (21, 2)
+    with pytest.raises(ValueError, match="series has shape"):
+        sq.compare(np.ones(shape), traj, (0.0, 0.2))

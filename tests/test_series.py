@@ -591,6 +591,25 @@ def test_a_zero_start_has_no_finite_radius_bound():
     assert sq.bound_envelope(frame, [0.0], 0.0, 100.0) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda frame, x0: sq.convergence_bound(frame, x0),
+    lambda frame, x0: sq.bound_envelope(frame, x0, 0.0, 5.0),
+    lambda frame, x0: sq.taylor(frame, x0, 0.0, 3),
+], ids=["convergence_bound", "bound_envelope", "taylor"])
+@pytest.mark.parametrize("x0, text", [
+    ([math.nan], "x0 component 1 is nan, not finite"),
+    ([1.0, math.inf], "x0 component 2 is inf, not finite"),
+    ([-math.inf, math.nan], "x0 component 1 is -inf, not finite"),
+], ids=["nan", "inf-second", "minus-inf"])
+def test_a_start_that_is_not_finite_is_named(call, x0, text):
+    """A non-finite component has no radius bound or series: the library
+    names it rather than returning nan coefficients or a bound of nan or
+    0.0."""
+    frame = sq.QuadraticFrame(np.eye(len(x0)).tolist())
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call(frame, x0)
+
+
 def test_radius_never_exceeds_root_test_estimate():
     rng = np.random.default_rng(137)
     for _ in range(10):
