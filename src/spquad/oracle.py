@@ -14,39 +14,44 @@ loop.  Each stage's right-hand side is
 
 * for a :class:`SigmaPiOde`, inlined from its terms in the order of
   :meth:`SigmaPiOde.rhs`: a sum from ``0.0`` of coefficient times
-  product from ``1.0`` of its factors; a constant coefficient is its
-  float repr, a jet coefficient Horner's rule on its coefficients' reprs,
-  as :meth:`TimeJet.__call__` evaluates it.  A factor x^1 is written as
-  x, any other as ``pow(x, v)`` (``math.pow``) for x > 0 and a call of
+  product from ``1.0`` of its factors, a constant term c alone (c*1.0 is
+  c exactly); a jet coefficient is Horner's rule on its coefficients, as
+  :meth:`TimeJet.__call__` evaluates it.  A factor x^1 is written as x,
+  any other as ``pow(x, v)`` (``math.pow``) for x > 0 and a call of
   ``real_pow`` otherwise.  Both give the bits of ``real_pow``, which
   returns ``math.pow(x, v)`` for x > 0 and raises the same errors for
   other bases; x^1 differs from it only at x = -0.0, and the leading
-  ``0.0 +`` of the sum erases the sign of a zero term.  A
-  system with more than :data:`_NEST` terms in an equation, factors in a
-  term or coefficients in a jet calls its own ``rhs`` instead, which does
-  the same operations: CPython refuses to compile an expression nested a
-  few thousand operations deep or inside more than 200 parentheses;
-* for a constant frame of dimension m <= :data:`D`, inlined from the float
-  reprs of V: ``(V x)_i x_i`` with each dot product summed left to right,
-  which may differ from numpy's ``V @ x`` in the last bits;
+  ``0.0 +`` of the sum erases the sign of a zero term.  A system with
+  more than :data:`_NEST` terms in an equation, factors in a term or
+  coefficients in a jet calls its own ``rhs`` instead, which does the
+  same operations: CPython refuses to compile an expression nested a few
+  thousand operations deep or inside more than 200 parentheses;
+* for a constant frame of dimension m <= :data:`D`, inlined as
+  ``(V x)_i x_i`` with each dot product summed left to right, which may
+  differ from numpy's ``V @ x`` in the last bits;
 * for a larger constant frame, a call of ``(V @ x) * x`` on
   ``np.array(x)``, and for a time-dependent frame a call of its own
   ``rhs``: these frames keep numpy's summation order.
 
-The source holds only such reprs, fixed names and operators: a float repr
-reads back as the same double (``5e-324``, ``1.7976931348623157e+308`` and
-the sign of ``-0.0`` included), the names ``inf`` and ``nan`` are bound to
-those floats so non-finite entries blow up as with ``V @ x``, and no text
-of the input reaches the source.  Everything else the loop needs (the
-exact rationals of the powers, the called right-hand side, the times and
-the states array it writes into) is an argument.  The text is thus a safe
-cache key, and the last compiled loop is kept, keyed on the texts the
-source is built from: compiling is most of the cost of generating (about
-0.3 ms for ``affine.spode``, 0.7 ms for ``five_monomials.spode`` and
-2.5 ms for a frame of dimension 9), and a two-sided ``check`` runs the
-same model twice.  One entry is all a command serves, as each runs one
-model in its own process.  The finiteness check sums its terms as a tree
-of at most :data:`_NEST`, so it compiles for any dimension.
+The source holds no number of the model, and no text of the input: only
+fixed names, operators and the literals ``0.0``, ``0.5``, ``1.0``,
+``2.0`` and ``6.0`` of RK4 and the sums.  Every number of the model (an
+entry of V, a coefficient, an exponent and its exact rational, a jet
+coefficient or center) is read from the argument ``R`` into a local
+``r<position>``, and a local float is the same operand as a literal of
+the same double, so the operations and their bits do not change.
+Everything else the loop needs (the called right-hand side, the times
+and the states array it writes into) is an argument too.  The source thus
+depends on the model's shape alone: its dimension, which factors are
+x^1, its term and jet structure, and whether the stages are inlined or
+called.  Loops are cached per shape, for the 32 shapes last used, since
+compiling is most of the cost of generating (about 0.3 ms for
+``affine.spode``, 0.7 ms for ``five_monomials.spode`` and 2.5 ms for a
+frame of dimension 9): a two-sided ``check`` runs its model twice, and a
+process that steps many models of a few shapes (a sweep over
+coefficients or starts) compiles each shape once.  The finiteness check
+sums its terms as a tree of at most :data:`_NEST`, so it compiles for
+any dimension.
 
 :data:`D` keeps inlined frames where they are the faster right-hand side,
 counting their compile time.  A sweep on dense random constant frames
@@ -88,11 +93,6 @@ class Trajectory:
     states: np.ndarray
     meta: dict
 
-    def at(self, t: float) -> np.ndarray:
-        """State at the sample closest to t."""
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return self.states[idx]
-
 
 def step_count(span: float, h: float) -> int:
     """Number of RK4 steps of at most h covering ``span`` >= 0; raises
@@ -115,21 +115,12 @@ def _steps(t0: float, t1: float, h: float) -> tuple[int, float, float]:
     return n, signed_h, landing
 
 
-def _horner(jet, u: str) -> str:
-    """``jet(t)`` as :meth:`TimeJet.__call__` evaluates it, ``u`` naming
-    t - center."""
-    expr = "0.0"
-    for c in jet.coeffs[::-1]:
-        expr = f"({expr})*{u} + {float(c)!r}"
-    return expr
-
-
-def _frame_rows(V) -> list[str]:
-    """(V x)_i x_i per component, a template over the stage state ``{0}``,
-    ``{1}``, ..., each entry written as its float repr."""
-    return ["(" + " + ".join(f"{float(v)!r}*{{{j}}}"
-                             for j, v in enumerate(row)) + f")*{{{i}}}"
-            for i, row in enumerate(V)]
+def _frame_rows(m: int) -> list[str]:
+    """(V x)_i x_i per component of an m-dimensional constant frame, a
+    template over the stage state ``{0}``, ``{1}``, ..., entry V_ij read
+    as ``r<i m + j>``."""
+    return ["(" + " + ".join(f"r{i * m + j}*{{{j}}}" for j in range(m))
+            + f")*{{{i}}}" for i in range(m)]
 
 
 def _inlined(ode: SigmaPiOde) -> bool:
@@ -142,31 +133,42 @@ def _inlined(ode: SigmaPiOde) -> bool:
                for terms in ode._terms)
 
 
-def _sigma_pi_rows(ode: SigmaPiOde, rationals: list,
+def _sigma_pi_rows(ode: SigmaPiOde, values: list,
                    centers: dict) -> list[str]:
     """:meth:`SigmaPiOde.rhs` written out from the same terms in their
-    order, as templates like :func:`_frame_rows`.  Appends the exact
-    rational of each power other than x^1 to ``rationals`` (read as
-    ``r<position>``) and numbers the jet centers in ``centers`` (t - center
-    is read as ``u<number>``)."""
+    order, as templates like :func:`_frame_rows`.  Appends each number it
+    reads to ``values`` (read as ``r<position>``): the exponent and exact
+    rational of each power other than x^1, then the coefficient, or a
+    jet's coefficients for Horner's rule as :meth:`TimeJet.__call__`
+    evaluates it.  Numbers the jet centers in ``centers`` (t - center is
+    read as ``u<number>``)."""
+    def r(value) -> str:
+        values.append(value)
+        return f"r{len(values) - 1}"
+
     rows = []
     for terms in ode._terms:
         acc = "0.0"
         for coeff, powers in terms:
+            if type(coeff) is float and not powers:   # c*1.0 is c
+                acc += f" + {r(coeff)}"
+                continue
             product = "1.0"
             for j, value, rat in powers:
                 if value == 1.0:
                     product += f"*{{{j}}}"
                 else:
-                    product += (f"*(pow({{{j}}}, {value!r}) if {{{j}}} > 0.0 "
-                                f"else real_pow({{{j}}}, {value!r}, "
-                                f"r{len(rationals)}))")
-                    rationals.append(rat)
+                    v = r(value)
+                    product += (f"*(pow({{{j}}}, {v}) if {{{j}}} > 0.0 "
+                                f"else real_pow({{{j}}}, {v}, {r(rat)}))")
             if type(coeff) is float:
-                coeff = repr(coeff)
+                coeff = r(coeff)
             else:
                 u = f"u{centers.setdefault(coeff.center, len(centers))}"
-                coeff = f"({_horner(coeff, u)})"
+                horner = "0.0"
+                for c in coeff.coeffs[::-1].tolist():
+                    horner = f"({horner})*{u} + {r(c)}"
+                coeff = f"({horner})"
             acc += f" + {coeff}*({product})"
         rows.append(acc)
     return rows
@@ -185,11 +187,11 @@ def _tree_sum(items: list[str]) -> str:
 
 
 def _loop_source(m: int, rows: tuple[str, ...] | None,
-                 centers: tuple[str, ...], n_rationals: int) -> str:
+                 centers: tuple[str, ...], n_values: int) -> str:
     """Source of the whole RK4 loop of an m-dimensional model whose stage
     right-hand sides are ``rows`` (None: each stage calls ``F(t, state)``),
-    reading t - center for each center repr in ``centers`` and the rationals
-    ``R`` of its powers, if any."""
+    reading t - center for each center name in ``centers`` and the
+    ``n_values`` numbers ``R`` of the model."""
     timed = rows is None or bool(centers)
 
     def names(c: str, n: int = m) -> list[str]:
@@ -231,7 +233,7 @@ def _loop_source(m: int, rows: tuple[str, ...] | None,
             + check
             + [f"S[o{j}] = x{j}" for j in range(m)])
     lines = (["def loop(R, F, X, S, ends, steps, last, t0, h, landing):"]
-             + _block(1, [f"{listed(names('r', n_rationals))} = R",
+             + _block(1, [f"{listed(names('r', n_values))} = R",
                           f"{listed(names('x'))} = X",
                           f"for {listed(['k'] + names('o'))} in steps:"]
                       + _block(1, step)))
@@ -239,18 +241,22 @@ def _loop_source(m: int, rows: tuple[str, ...] | None,
 
 
 def _loop_spec(rhs, called: bool) -> tuple[tuple, list]:
-    """The arguments of :func:`_loop_source` for ``rhs`` and the rationals
-    of its powers; when ``called`` the stages call a right-hand side."""
-    rationals, centers = [], {}
+    """The arguments of :func:`_loop_source` for ``rhs``, texts and counts
+    that hold its shape and no number of it, and the numbers ``R`` the loop
+    reads; when ``called`` the stages call a right-hand side."""
+    values, centers = [], {}
     spode = isinstance(rhs, SigmaPiOde)
+    m = rhs.n if spode else rhs.dim
     if called:
         rows = None
     elif spode:
-        rows = tuple(_sigma_pi_rows(rhs, rationals, centers))
+        rows = tuple(_sigma_pi_rows(rhs, values, centers))
     else:
-        rows = tuple(_frame_rows(rhs.coeffs[0]))
-    return ((rhs.n if spode else rhs.dim, rows, tuple(map(repr, centers)),
-             len(rationals)), rationals)
+        rows = tuple(_frame_rows(m))
+        values = rhs.coeffs[0].ravel().tolist()
+    names = tuple(f"r{len(values) + c}" for c in range(len(centers)))
+    values += list(centers)
+    return (m, rows, names, len(values)), values
 
 
 def _overflowed(t) -> Blowup:
@@ -263,14 +269,14 @@ def _nonfinite(t) -> Blowup:
 
 _NAMESPACE = {"__builtins__": {}, "OverflowError": OverflowError,
               "pow": math.pow, "real_pow": real_pow,
-              "overflowed": _overflowed, "nonfinite": _nonfinite,
-              "inf": math.inf, "nan": math.nan}
+              "overflowed": _overflowed, "nonfinite": _nonfinite}
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=32)
 def _loop(*spec):
     """The compiled loop of :func:`_loop_source` (``spec`` are its
-    arguments, all texts and counts); the last one is kept."""
+    arguments, a model's shape); the loops of the 32 shapes last used are
+    kept."""
     namespace = dict(_NAMESPACE)
     exec(compile(_loop_source(*spec), "<rk4 loop>", "exec"), namespace)
     return namespace["loop"]
@@ -316,7 +322,7 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
             return (V @ xv) * xv
     # compiled before the arrays are allocated: the compiler's transient
     # memory then does not add to theirs
-    spec, rationals = _loop_spec(rhs, F is not None)
+    spec, values = _loop_spec(rhs, F is not None)
     loop = _loop(*spec)
     times = t0 + signed_h * np.arange(n + 1)
     times[-1] = t1
@@ -324,7 +330,7 @@ def rk4(rhs, x0, t0: float, t1: float, h: float) -> Trajectory:
     states[0] = x0
     # step k writes component j at position (k + 1) m + j of the states
     steps = zip(range(n), *(range(m + j, (n + 1) * m, m) for j in range(m)))
-    args = (rationals, F, x0.tolist(), memoryview(states.reshape(-1)),
+    args = (values, F, x0.tolist(), memoryview(states.reshape(-1)),
             times[1:], steps, n - 1,
             float(times[0]), float(signed_h), float(landing))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import io
 import math
+import operator
 import re
 import tokenize
 import tracemalloc
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptyWindow
-from spquad.oracle import D, _frame_rows, _loop_source, _loop_spec, step_count
+from spquad.oracle import (D, _frame_rows, _loop, _loop_source, _loop_spec,
+                           step_count)
 from spquad.parse import parse_frame, parse_ode
 from spquad.series import RadiusWarning
 
@@ -481,7 +484,7 @@ LOOP_NAMES = {
     "pass",
     "loop", "R", "F", "X", "S", "ends", "steps", "last", "t0", "h", "landing",
     "k", "dt", "half", "t", "th", "te", "sixth", "exc", "tolist",
-    "OverflowError", "pow", "real_pow", "overflowed", "nonfinite", "inf", "nan"}
+    "OverflowError", "pow", "real_pow", "overflowed", "nonfinite"}
 NUMBERED = re.compile(r"[xypkoru][0-9]+")
 
 
@@ -501,8 +504,8 @@ def loop_sources():
 @pytest.mark.parametrize("model, numpy_rhs", list(loop_sources()))
 def test_generated_source_holds_only_names_floats_and_operators(
         model, numpy_rhs):
-    """No text of the input reaches the loop source: it tokenizes to names
-    of a fixed set, float literals that are the repr of their value, and
+    """No text or number of the input reaches the loop source: it tokenizes
+    to names of a fixed set, the float literals of RK4 and the sums, and
     operators."""
     spec, _ = _loop_spec(model, numpy_rhs)
     source = _loop_source(*spec)
@@ -518,15 +521,16 @@ def test_generated_source_holds_only_names_floats_and_operators(
         else:
             assert tok.type == tokenize.OP or tok.type in layout, tok
     assert floats >= {"0.5", "2.0", "6.0"}
+    assert floats <= {"0.0", "0.5", "1.0", "2.0", "6.0"}
 
 
 @pytest.mark.parametrize("v", [5e-324, 1.7976931348623157e308, -0.0])
 def test_generated_rhs_keeps_extreme_entries_exactly(v):
-    """The generated source writes each entry as its float repr, which
-    reads back as the same double: the 1x1 right-hand side is (v x) x bit
-    for bit, the sign of a zero product included."""
-    [row] = _frame_rows(np.array([[v]]))
-    f = eval(f"lambda x: {row.format('x')}", {"__builtins__": {}})
+    """The generated source reads each entry as a local float: the 1x1
+    right-hand side, its entry bound as r0, is (v x) x bit for bit, the
+    sign of a zero product included."""
+    [row] = _frame_rows(1)
+    f = eval(f"lambda x: {row.format('x')}", {"__builtins__": {}, "r0": v})
     for x in (1e300, 0.5, -0.0, -3.0):
         got, want = np.array([f(x)]), np.array([(v * x) * x])
         assert got.tobytes() == want.tobytes()
@@ -562,6 +566,101 @@ def test_non_finite_entries_blow_up_as_on_the_numpy_path(v, m):
     with pytest.raises(Blowup) as info:
         sq.rk4(sq.QuadraticFrame(V.tolist()), x0, 0.0, 0.1, 1e-2)
     assert str(info.value) == message
+
+
+def row_sum_rhs(V):
+    """(V x) x with each dot product summed left to right, as the inlined
+    loop of a constant frame sums it."""
+    rows = np.asarray(V).tolist()
+
+    def f(t, x):
+        xs = x.tolist()
+        return np.array([functools.reduce(operator.add,
+                                          [v * xj for v, xj in zip(row, xs)])
+                         * xi for row, xi in zip(rows, xs)])
+    return f
+
+
+# five_monomials.spode with other coefficients and non-unit exponents
+RESCALED = sq.SigmaPiOde(3, [
+    [(-0.5, {2: 1, 3: 1}), (1.5, {1: F(-1, 5)})],
+    [(2.5, {1: 1, 2: 3, 3: 1})],
+    [(-4.0, {1: -2, 2: 1}), (0.25, {})],
+])
+# and with its factor x2^4 turned into x2
+X2_LINEAR = sq.SigmaPiOde(3, [
+    [(1.0, {2: 1, 3: 1}), (2.0, {1: F(-1, 3)})],
+    [(4.0, {1: 1, 2: 1, 3: 1})],
+    [(5.0, {1: -3, 2: 1}), (3.0, {})],
+])
+
+
+def shape_runs():
+    """(model, numpy right-hand side, x0) per run, and the count of new
+    shapes it brings: two constant frames of m = 3 (extreme entries on an
+    x2 of 1e-308 that keeps their products finite), two systems of the
+    shape of five_monomials, two time-dependent frames whose stages call
+    their rhs, two systems of one jet shape with other jet coefficients
+    and centers, and last a frame of m = 4 and a system with one factor
+    turned into x^1."""
+    extreme = np.array([[0.5, 1.797e308, -0.0],
+                        [5e-324, -0.25, 0.0],
+                        [0.1, 0.2, -0.3]])
+    ordinary = np.array([[0.3, -0.7, 0.2], [0.9, 0.1, -0.4], [-0.6, 0.5, 0.8]])
+    yield sq.QuadraticFrame(extreme.tolist()), row_sum_rhs(extreme), \
+        [1.0, 1e-308, 0.5], 1
+    yield sq.QuadraticFrame(ordinary.tolist()), row_sum_rhs(ordinary), \
+        [0.6, 0.7, 0.8], 0
+    five = parse_ode((DATA / "five_monomials.spode").read_text())
+    yield five, five.rhs, [1.0, 0.2, 0.8], 1
+    yield RESCALED, RESCALED.rhs, [1.0, 0.2, 0.8], 0
+    for seed, new in ((1, 1), (2, 0)):
+        frame = random_jet_frame(np.random.default_rng(seed), m=3, center=0.25)
+        yield frame, frame.rhs, [0.5, 0.6, 0.7], new
+    for coeffs, center, new in (([0.5, 0.25, -1.0], 0.0, 1),
+                                ([-2.0, 1e-300, 3.0], 0.75, 0)):
+        # x1' = c(t) x1 x2^(1/2), x2' = -x2 with c a jet, which is inlined
+        jet = sq.TimeJet(coeffs, center=center)
+        ode = sq.SigmaPiOde(2, [[(jet, {1: 1, 2: F(1, 2)})], [(-1.0, {2: 1})]])
+        yield ode, ode.rhs, [0.9, 0.4], new
+    wide = np.linspace(-0.5, 0.5, 16).reshape(4, 4)
+    yield sq.QuadraticFrame(wide.tolist()), row_sum_rhs(wide), \
+        [0.2, 0.4, 0.6, 0.8], 1
+    yield X2_LINEAR, X2_LINEAR.rhs, [1.0, 0.2, 0.8], 1
+
+
+def test_one_compiled_loop_serves_every_model_of_a_shape():
+    """The loop of a shape reads every number of the model as an argument:
+    a model of a shape already compiled compiles nothing, and steps
+    exactly as the numpy loop on its own right-hand side."""
+    _loop.cache_clear()
+    shapes = 0
+    for model, f, x0, new in shape_runs():
+        got = outcome(lambda: loop_run(model, x0, 0.1))
+        want = outcome(lambda: numpy_rk4(f, x0, 0.0, 0.1, 0.01))
+        assert got == want and isinstance(got[0], bytes), model
+        shapes += new
+        assert _loop.cache_info().misses == shapes, model
+    for model, _, x0, _ in shape_runs():
+        loop_run(model, x0, 0.1)
+    assert _loop.cache_info().misses == shapes
+
+
+def test_a_warm_loop_blows_up_on_a_non_finite_entry():
+    """A frame with an inf entry runs the loop a finite frame of its
+    dimension compiled, and ends as the numpy path does, on the first
+    step."""
+    _loop.cache_clear()
+    V = np.full((2, 2), 0.25)
+    x0 = [0.5, 1.0]
+    sq.rk4(sq.QuadraticFrame(V.tolist()), x0, 0.0, 0.1, 1e-2)
+    V[1, 0] = math.inf
+    _, _, message = numpy_rk4(matrix_rhs(V), x0, 0.0, 0.1, 1e-2)
+    assert message == "state non-finite near t = 0.01"
+    with pytest.raises(Blowup) as info:
+        sq.rk4(sq.QuadraticFrame(V.tolist()), x0, 0.0, 0.1, 1e-2)
+    assert str(info.value) == message
+    assert _loop.cache_info().misses == 1
 
 
 def large_models():
@@ -641,7 +740,7 @@ def test_compare_identical_inputs_zero_error():
     traj = sq.rk4(frame, [1.0, 1.0], 0.0, 0.2, 0.01)
 
     def lookup(t):
-        return traj.at(t)
+        return traj.states[np.argmin(np.abs(traj.times - t))]
 
     report = sq.compare(lookup, traj, (0.0, 0.2))
     assert report.max_rel == 0.0 and report.rms_rel == 0.0
@@ -669,7 +768,8 @@ def test_compare_empty_window():
     frame = sq.QuadraticFrame([[0.0]])
     traj = sq.rk4(frame, [1.0], 0.0, 0.1, 0.01)
     with pytest.raises(EmptyWindow):
-        sq.compare(lambda t: traj.at(t), traj, (5.0, 6.0))
+        sq.compare(lambda t: traj.states[np.argmin(np.abs(traj.times - t))],
+                   traj, (5.0, 6.0))
 
 
 def two_sided(frame, x0, a, b, h):
