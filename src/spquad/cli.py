@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -464,8 +465,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a value that starts with a minus sign as an option
+    (``--x0 -1,0.5``), so a number option followed by ``-`` and a digit or
+    ``.`` is passed on as one token, ``--x0=-1,0.5``."""
+    flags = {"--" + key.replace("_", "-") for key in _OPTIONS}
+    out = []
+    for token in argv:
+        if out and out[-1] in flags and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _apply_config(args)
         return args.func(args)

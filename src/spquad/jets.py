@@ -8,11 +8,12 @@ When ``exact`` is true the polynomial IS the coefficient (derivatives of all
 orders are available, eventually zero).  When ``exact`` is false the
 polynomial is a truncation of some analytic function and only the first
 ``valid_order + 1`` coefficients are trustworthy.  That budget is data: a
-frame reports its smallest one (``QuadraticFrame.min_valid_order``), and
-:func:`~spquad.series.taylor` and :func:`~spquad.series.coefficient_tensors`
-raise :class:`~spquad.errors.OrderBudget` when it is below the order asked
-for.  The series engines compute on the frame's coefficient arrays, so jets
-carry no arithmetic beyond scaling and negation.
+frame keeps the smallest one for all its entries
+(``QuadraticFrame.min_valid_order``), and :func:`~spquad.series.taylor` and
+:func:`~spquad.series.coefficient_tensors` raise
+:class:`~spquad.errors.OrderBudget` when it is below the order asked for.
+A frame is one coefficient array, not jets, so jets carry no arithmetic
+beyond scaling and negation.
 
 Jets are immutable; all operations return new instances.  Trailing zero
 coefficients are trimmed so equality and zero tests are canonical.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
+def _trim(coeffs):
     n = len(coeffs)
     while n > 1 and coeffs[n - 1] == 0.0:
         n -= 1
@@ -126,14 +127,21 @@ class TimeJet:
         return hash((self.center, self.exact, tuple(self.coeffs)))
 
     def __repr__(self):
-        body = ",".join(repr(float(c)) for c in self.coeffs)
-        tags = "" if self.exact else f", exact=False, valid_order={self.valid_order}"
-        ctr = "" if self.center == 0.0 else f", center={self.center!r}"
-        return f"TimeJet([{body}]{ctr}{tags})"
+        return jet_repr(self.coeffs, self.center, self.valid_order)
 
 
-def as_jet(value, center: float = 0.0) -> TimeJet:
-    """Coerce a float or TimeJet into a TimeJet at the given center."""
-    if isinstance(value, TimeJet):
-        return value
-    return TimeJet.constant(float(value), center=center)
+def jet_repr(coeffs, center: float = 0.0, valid_order: int | None = None):
+    """``TimeJet([c0,...], center=..., exact=False, valid_order=...)``, each
+    keyword left out at its default; ``valid_order`` is None when exact."""
+    body = ",".join(repr(float(c)) for c in coeffs)
+    ctr = "" if center == 0.0 else f", center={center!r}"
+    tags = ("" if valid_order is None
+            else f", exact=False, valid_order={valid_order}")
+    return f"TimeJet([{body}]{ctr}{tags})"
+
+
+def coefficient_lists(coeffs: np.ndarray) -> list[list[list[float]]]:
+    """The entries of an ``(L+1, m, m)`` coefficient array as m rows of m
+    coefficient lists, each trimmed as a jet's coefficients are."""
+    return [[_trim(c) for c in row]
+            for row in coeffs.transpose(1, 2, 0).tolist()]

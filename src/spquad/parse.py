@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import (BadExponent, DuplicateEquation, NonSquare,
                      OdeSyntaxError)
-from .jets import TimeJet
+from .jets import TimeJet, coefficient_lists
 from .quadratize import QuadraticFrame
 from .sigmapi import Monomial, SigmaPiOde
 
@@ -147,7 +147,8 @@ class _LineParser:
 
     # --- grammar productions ---
 
-    def parse_poly(self) -> TimeJet:
+    def parse_poly(self) -> list[float]:
+        """The coefficients c0, c1, ... of a ``poly(...)`` literal."""
         self.expect("poly(")
         coeffs = [self._poly_arg()]
         self.skip_ws()
@@ -155,7 +156,7 @@ class _LineParser:
             coeffs.append(self._poly_arg())
             self.skip_ws()
         self.expect(")")
-        return TimeJet(coeffs)
+        return coeffs
 
     def _poly_arg(self) -> float:
         self.skip_ws()
@@ -207,7 +208,7 @@ class _LineParser:
         bare_zero = False
         exps: dict[int, object] = {}
         if self.text.startswith("poly(", self.pos):
-            coeff = self.parse_poly()
+            coeff = TimeJet(self.parse_poly())
         elif self.peek().isdigit() or self.peek() == ".":
             value, _, raw = self.read_unsigned_number()
             coeff = TimeJet.constant(value)
@@ -334,10 +335,10 @@ def monomial_text(mono: Monomial) -> str:
     return "*".join(_monomial_text(mono)) or "1"
 
 
-def _jet_text(jet: TimeJet) -> str:
-    if jet.is_constant():
-        return _num(jet.coeffs[0])
-    return "poly(" + ",".join(_num(c) for c in jet.coeffs) + ")"
+def _jet_text(coeffs) -> str:
+    if len(coeffs) == 1:
+        return _num(coeffs[0])
+    return "poly(" + ",".join(_num(c) for c in coeffs) + ")"
 
 
 def serialize_ode(ode: SigmaPiOde) -> str:
@@ -366,7 +367,7 @@ def serialize_ode(ode: SigmaPiOde) -> str:
                 else:
                     coeff_txt = _num(mag)
             else:
-                coeff_txt = _jet_text(jet)
+                coeff_txt = _jet_text(jet.coeffs)
             pieces = ([coeff_txt] if coeff_txt else []) + factors
             rendered.append((negative, "*".join(pieces)))
         first_neg, first_body = rendered[0]
@@ -394,7 +395,7 @@ def parse_frame(text: str) -> QuadraticFrame:
                 if parser.text.startswith("poly(", parser.pos):
                     row.append(parser.parse_poly())
                 else:
-                    row.append(TimeJet.constant(parser.read_signed_number()))
+                    row.append([parser.read_signed_number()])
                 parser.skip_ws()
                 parser.match(",")
                 parser.skip_ws()
@@ -408,11 +409,12 @@ def parse_frame(text: str) -> QuadraticFrame:
         if len(row) != dim:
             raise NonSquare(
                 f"row {k} has {len(row)} entries; expected {dim}", span)
-    return QuadraticFrame(rows)
+    layers = max(len(c) for row in rows for c in row)
+    return QuadraticFrame._from_coeffs(
+        [[[c[l] if l < len(c) else 0.0 for c in row] for row in rows]
+         for l in range(layers)])
 
 
 def serialize_frame(frame: QuadraticFrame) -> str:
-    lines = []
-    for row in frame.entries:
-        lines.append(" ".join(_jet_text(e) for e in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(" ".join(_jet_text(c) for c in row)
+                     for row in coefficient_lists(frame.coeffs)) + "\n"

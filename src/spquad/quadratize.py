@@ -10,8 +10,8 @@ where the first block (the "driver") is autonomous and the second (the
 "final stage") recovers x.  Appending a fictitious 0 * x_i^2 monomial to
 every equation that lacks one makes the original states driver coordinates
 themselves ("inclusive" form), so the final stage becomes redundant and the
-whole system is described by one square coefficient matrix of time jets,
-the :class:`QuadraticFrame`.
+whole system is described by one square matrix V(t) of time polynomials,
+the :class:`QuadraticFrame`, which holds it as one coefficient array.
 """
 
 from __future__ import annotations
@@ -25,54 +25,73 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Blowup, EmptySystem
-from .jets import TimeJet, as_jet
+from .jets import TimeJet, coefficient_lists, jet_repr
 from .sigmapi import Monomial, SigmaPiOde
 
 
 class QuadraticFrame:
-    """Square matrix V of time jets defining dx_i/dt = (v_i' x) x_i.
+    """Square matrix V(t) defining dx_i/dt = (v_i' x) x_i, as one array.
 
-    ``entries`` holds the jets, all at the frame's ``center``.  ``coeffs``
-    is their numeric form, built once: the read-only array with
-    ``coeffs[l, i, j]`` the coefficient of (t - center)**l in entry
-    (i+1, j+1), zero-padded to the highest jet order.
+    ``coeffs[l, i, j]`` is the read-only coefficient of (t - center)**l in
+    entry (i+1, j+1), with -0.0 stored as 0.0 and no trailing all-zero
+    layer.  The frame keeps one derivative budget, the smallest of the
+    truncated jets it was built from (inf when all are exact).  Rows of
+    numbers and jets take the center of their non-constant jets, which
+    must share one, else that of the first entry (0.0 for a number).
     """
 
-    __slots__ = ("dim", "entries", "center", "coeffs")
+    __slots__ = ("coeffs", "center", "_budget")
 
-    def __init__(self, entries: Sequence[Sequence]):
-        rows = [[as_jet(e) for e in row] for row in entries]
-        jets = [jet for row in rows for jet in row]
-        # the center is the first non-constant entry's; constants take it on
-        center = next((jet.center for jet in jets if not jet.is_constant()),
-                      jets[0].center if jets else 0.0)
-        if any(jet.center != center and not jet.is_constant() for jet in jets):
-            raise ValueError("frame entries must share one center")
-        rows = tuple(
-            tuple(jet if jet.center == center else
-                  TimeJet(jet.coeffs, center, jet.exact, jet.valid_order)
-                  for jet in row)
-            for row in rows)
-        dim = len(rows)
-        if any(len(r) != dim for r in rows):
+    def __init__(self, rows: Sequence[Sequence]):
+        rows = [list(row) for row in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("frame must be square")
-        coeffs = np.zeros((max((jet.order for jet in jets), default=0) + 1,
-                           dim, dim))
+        entries = [e for row in rows for e in row]
+        orders = [e.order for e in entries if isinstance(e, TimeJet)]
+        coeffs = np.zeros((max(orders, default=0) + 1, len(rows), len(rows)))
         for i, row in enumerate(rows):
-            for j, jet in enumerate(row):
-                coeffs[:jet.order + 1, i, j] = jet.coeffs
+            for j, e in enumerate(row):
+                if isinstance(e, TimeJet):
+                    coeffs[:e.order + 1, i, j] = e.coeffs
+                else:
+                    coeffs[0, i, j] = e
+        self._fill(coeffs, entries)
+
+    @classmethod
+    def _from_coeffs(cls, coeffs, entries=()) -> "QuadraticFrame":
+        return object.__new__(cls)._fill(coeffs, entries)
+
+    def _fill(self, coeffs, entries: Sequence) -> "QuadraticFrame":
+        """Keep ``coeffs`` with the center and budget of ``entries``, numbers
+        and jets it was built from, entry (1, 1) first (none: exact at 0)."""
+        centers = [e.center for e in entries
+                   if isinstance(e, TimeJet) and not e.is_constant()]
+        if any(c != centers[0] for c in centers):
+            raise ValueError("frame entries must share one center")
+        first = entries[0] if entries else 0.0
+        centers.append(first.center if isinstance(first, TimeJet) else 0.0)
+        coeffs = np.asarray(coeffs, dtype=float) + 0.0   # -0.0 folds to 0.0
+        layers = np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
+        coeffs = coeffs[:layers[-1] + 1 if len(layers) else 1]
         coeffs.flags.writeable = False
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "center", centers[0])
+        object.__setattr__(self, "_budget", min(
+            (e.valid_order for e in entries
+             if isinstance(e, TimeJet) and not e.exact), default=math.inf))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticFrame is immutable")
 
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[1]
+
     def jet(self, i: int, j: int) -> TimeJet:
-        """Entry v_{i,j} (1-based)."""
-        return self.entries[i - 1][j - 1]
+        """Entry v_{i,j} (1-based), built with the frame's budget."""
+        return TimeJet(self.coeffs[:, i - 1, j - 1], self.center,
+                       self._budget == math.inf, self._budget)
 
     @property
     def is_stationary(self) -> bool:
@@ -98,26 +117,24 @@ class QuadraticFrame:
         return (self.evaluate(t) @ xv) * xv
 
     def min_valid_order(self) -> float:
-        """Smallest derivative budget over entries (inf when all exact)."""
-        budget = float("inf")
-        for row in self.entries:
-            for e in row:
-                if not e.exact:
-                    budget = min(budget, e.valid_order)
-        return budget
+        """The frame's derivative budget (inf when exact)."""
+        return self._budget
 
     def ref(self) -> str:
         """Stable short identifier derived from the frame contents."""
-        text = ";".join(",".join(repr(e) for e in row) for row in self.entries)
+        budget = None if self._budget == math.inf else self._budget
+        text = ";".join(",".join(jet_repr(c, self.center, budget) for c in row)
+                        for row in coefficient_lists(self.coeffs))
         return hashlib.sha1(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticFrame):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.center == other.center and self._budget == other._budget
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.center, self._budget, self.coeffs.tobytes()))
 
     def __repr__(self):
         return f"QuadraticFrame(dim={self.dim}, ref={self.ref()})"
@@ -268,43 +285,40 @@ def inverse_driver(ode: SigmaPiOde) -> Quadratization:
 def driver_frame(q: Quadratization) -> QuadraticFrame:
     """Flatten the driver block into a frame.
 
-    Entry ((i,l),(j,s)) is pi_{i,j}^l * v_{j,s}; for an inverse record the
-    rows are negated (and multiply the reciprocal state, see
-    :func:`inverse_joint_frame` for a simulatable system).
+    Entry ((i,l),(j,s)) is pi_{i,j}^l * v_{j,s} (0.0 where pi is 0); for an
+    inverse record the rows are negated (and multiply the reciprocal state,
+    see :func:`inverse_joint_frame` for a simulatable system).
     """
-    d = q.driver_dim
     sign = -1.0 if q.inverse else 1.0
-    rows = []
-    for (i, l) in q.pairs:
-        pi_row = q.pi[i - 1][l - 1]
-        row = []
-        for (j, s) in q.pairs:
-            p = pi_row.get(j, 0.0)
-            if p == 0.0:
-                row.append(TimeJet.zero())
-            else:
-                jet, _ = q.source.terms(j)[s - 1]
-                row.append(jet.scale(sign * p))
-        rows.append(row)
-    return QuadraticFrame(rows)
+    jets = [q.source.terms(j)[s - 1][0] for (j, s) in q.pairs]
+    pi = np.array([[q.pi[i - 1][l - 1].get(j, 0.0) for (j, _) in q.pairs]
+                   for (i, l) in q.pairs])
+    columns = np.zeros((max(jet.order for jet in jets) + 1, len(jets)))
+    for c, jet in enumerate(jets):
+        columns[:jet.order + 1, c] = jet.coeffs
+    rows, cols = np.nonzero(pi)
+    coeffs = np.zeros((len(columns), len(jets), len(jets)))
+    coeffs[:, rows, cols] = sign * pi[rows, cols] * columns[:, cols]
+    # entry (1, 1), whose center a constant frame takes, then the jets in use
+    first = jets[0] if pi[0, 0] != 0.0 else 0.0
+    return QuadraticFrame._from_coeffs(
+        coeffs, [first] + [jets[c] for c in sorted(set(cols.tolist()))])
 
 
 def inverse_joint_frame(q: Quadratization) -> QuadraticFrame:
-    """Frame of the joint (Z, W) system, dimension 2d.
+    """Frame of the joint (Z, W) system, dimension 2d: the block
+    ``[[B, 0], [-B, 0]]`` of the driver frame B.
 
     Rows 1..d are the driver; rows d+1..2d drive W with the negated rows,
     reading their multipliers off the Z block.  Along trajectories started
     at W = Z^{-1} the products Z_{s} W_{s} stay equal to 1.
     """
     base = driver_frame(replace(q, inverse=False))
-    d = base.dim
-    zero = TimeJet.zero()
-    rows = []
-    for i in range(d):
-        rows.append(list(base.entries[i]) + [zero] * d)
-    for i in range(d):
-        rows.append([e.scale(-1.0) for e in base.entries[i]] + [zero] * d)
-    return QuadraticFrame(rows)
+    zero = np.zeros_like(base.coeffs)
+    # entry (1, 1) carries the base's center and budget
+    return QuadraticFrame._from_coeffs(
+        np.block([[base.coeffs, zero], [-base.coeffs, zero]]),
+        [base.jet(1, 1)])
 
 
 def phi_eval(q: Quadratization, x: Sequence[float]) -> np.ndarray:

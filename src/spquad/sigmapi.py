@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainViolation, InvalidProjection
-from .jets import as_jet
+from .jets import TimeJet
 
 
 def real_pow(base: float, value: float, rational: Fraction | None = None) -> float:
@@ -180,7 +180,8 @@ class SigmaPiOde:
             row = equations[i] if i < len(equations) else ()
             terms = []
             for coeff, mono in row:
-                jet = as_jet(coeff)
+                jet = (coeff if isinstance(coeff, TimeJet)
+                       else TimeJet.constant(coeff))
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
                 if mono.max_index() > n:

@@ -116,8 +116,9 @@ def cauchy_exact(frame: sq.QuadraticFrame, x0, t0: float,
     W_l the l-th Taylor coefficient of V at t0 and a_k = c_k / k!."""
     m = frame.dim
     W = [[[F(0)] * m for _ in range(m)] for _ in range(K)]
-    for i, row in enumerate(frame.entries):
-        for j, jet in enumerate(row):
+    for i in range(m):
+        for j in range(m):
+            jet = frame.jet(i + 1, j + 1)
             u = F(t0) - F(jet.center)
             for n, c in enumerate(jet.coeffs):
                 for l in range(min(n + 1, K)):

@@ -348,6 +348,30 @@ def test_malformed_numbers_are_usage_errors(argv, capsys):
     assert "must" in captured.err
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["series", "--order", "6"], "--x0", "-1,0.5"),
+    (["series", "--x0", "1,0.5"], "--t0", "-1e-3"),
+    (["solve", "--x0", "1,0.5"], "--to", "-2.5e-1"),
+    (["check", "--x0", "1,0.5", "--step", "1e-3"], "--window", "-0.01,0.01"),
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_negative_value_may_follow_its_option(argv, option, value, fmt,
+                                                capsys):
+    """``--x0 -1,0.5`` reads as ``--x0=-1,0.5``, not as an option; an
+    option without its value is still a usage error."""
+    def run(*tokens):
+        code = main(argv[:1] + [str(DATA / "linear2.spode"), "--format", fmt]
+                    + argv[1:] + list(tokens))
+        out = capsys.readouterr().out
+        return code, re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out)
+
+    code, out = run(option, value)
+    assert code == 0 and (code, out) == run(f"{option}={value}")
+    with pytest.raises(SystemExit) as exc:
+        main(["series", str(DATA / "linear2.spode"), "--x0", "--format", "json"])
+    assert exc.value.code == 2
+
+
 VEX = str(DATA / "vex.frame")
 
 

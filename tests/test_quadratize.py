@@ -400,7 +400,8 @@ def test_evaluate_equals_entry_jets_bitwise():
     for frame in _frames_to_evaluate():
         for dt in (0.0, 1e-3, -1e-3, 0.3, -0.7, 2.5, -12.5):
             t = frame.center + dt
-            want = np.array([[e(t) for e in row] for row in frame.entries])
+            index = range(1, frame.dim + 1)
+            want = np.array([[frame.jet(i, j)(t) for j in index] for i in index])
             got = frame.evaluate(t)
             assert got.shape == (frame.dim, frame.dim)
             assert got.tobytes() == want.reshape(got.shape).tobytes()
@@ -408,10 +409,13 @@ def test_evaluate_equals_entry_jets_bitwise():
 
 def test_stationary_form_reads_the_entries():
     for frame in _frames_to_evaluate():
-        stationary = all(e.is_constant() for row in frame.entries for e in row)
+        index = range(1, frame.dim + 1)
+        stationary = all(frame.jet(i, j).is_constant()
+                         for i in index for j in index)
         assert frame.is_stationary == stationary
         if stationary:
-            want = np.array([[e.coeffs[0] for e in row] for row in frame.entries])
+            want = np.array([[frame.jet(i, j).coeffs[0] for j in index]
+                             for i in index])
             assert frame.constant_matrix().tobytes() == want.reshape(
                 frame.dim, frame.dim).tobytes()
         else:

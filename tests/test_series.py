@@ -178,8 +178,8 @@ def test_general_equals_stationary_on_constant_frames():
         frame = random_frame(rng)
         if n % 2:
             frame = sq.QuadraticFrame(
-                [[sq.TimeJet([e.coeffs[0], rng.uniform(-0.5, 0.5)])
-                  for e in row] for row in frame.entries])
+                [[sq.TimeJet([v, rng.uniform(-0.5, 0.5)])
+                  for v in row] for row in frame.coeffs[0]])
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         a = sq.taylor(frame, x0, 0.3, 8)
         b = _contracted(sq.coefficient_tensors(frame, 8), x0, 0.3, 8)
@@ -195,7 +195,7 @@ def test_frame_center_comes_from_its_jets(jet_first):
     row = [jet, 0.3] if jet_first else [0.3, jet]
     frame = sq.QuadraticFrame([row, [0.2, 0.1]])
     assert frame.center == 0.25
-    assert all(e.center == 0.25 for r in frame.entries for e in r)
+    assert all(frame.jet(i, j).center == 0.25 for i in (1, 2) for j in (1, 2))
     a = sq.taylor(frame, [1.0, 0.7], 0.1, 8)
     b = _contracted(sq.coefficient_tensors(frame, 8), [1.0, 0.7], 0.1, 8)
     scale = np.maximum(np.abs(b), 1.0)
@@ -286,29 +286,115 @@ def test_tensor_layers_keep_their_key_sets():
     assert got == TENSOR_KEYS
 
 
-# frame.ref() and the SHA-1 prefix of serialize_frame per fixture: rebuilding
-# constant entries at the frame center must leave center-0 frames as they are
+# frame.ref() and the SHA-1 prefix of serialize_frame per frame: a fixture
+# name alone is its inclusive driver frame (or its parsed .frame),
+# ":canonical" and ":inverse" name the other two quadratizations, "api:"
+# frames are built from rows.  Rebuilding constant entries at the frame
+# center must leave center-0 frames as they are.
 FIXTURE_FRAMES = {
     "affine.spode": ("885736692422", "75ae9063503e"),
+    "affine.spode:canonical": ("369e36baba29", "657d11838ebb"),
+    "affine.spode:inverse": ("f5444b0e893a", "3814c8d4ff5c"),
     "airy_first_order.spode": ("8d884bb006b6", "0a315bec7060"),
+    "airy_first_order.spode:canonical": ("c4699281a0b0", "a91f98282cc4"),
+    "airy_first_order.spode:inverse": ("5bde06beacd7", "3783e66cce57"),
+    "api:jet-at-0.25": ("de79a06bd6bd", "c29c96e41709"),
+    "api:negative-zero": ("1f01febf7fab", "3e130d37619b"),
+    "api:poly-lengths": ("b059e6772e2a", "82e3b09debca"),
     "bernoulli.spode": ("3220fdd42f7d", "57d7762243eb"),
+    "bernoulli.spode:canonical": ("fb519da092be", "062392937735"),
+    "bernoulli.spode:inverse": ("dbe3fa6cbced", "c81c827e6753"),
     "ex4_variant.frame": ("94d675d81e65", "249e18985ffe"),
     "exdom.spode": ("162584e345e9", "8b3b8eb921ec"),
+    "exdom.spode:canonical": ("3a5992b1b484", "d48e5e4924e5"),
+    "exdom.spode:inverse": ("557a91126a06", "c6995a9b8a5e"),
     "five_monomials.spode": ("8de608bb41ac", "480e778cd4db"),
+    "five_monomials.spode:canonical": ("01f52e9e220e", "f6a957bf2c06"),
+    "five_monomials.spode:inverse": ("6ac510df0ff5", "b85a8a39838f"),
     "linear2.spode": ("6323d041a409", "1275415f1d30"),
+    "linear2.spode:canonical": ("2b114733b349", "0e2ea848c65e"),
+    "linear2.spode:inverse": ("be4677563fe7", "355ed017784b"),
     "vex.frame": ("49548b4d1762", "959bddb95d97"),
 }
+
+API_FRAMES = {
+    "api:jet-at-0.25": lambda: sq.QuadraticFrame(
+        [[sq.TimeJet([1.0, 0.5], center=0.25), 0.3], [0.2, 0.1]]),
+    "api:negative-zero": lambda: sq.QuadraticFrame(
+        [[-0.0, 1.5], [0.0, -2.0]]),
+    "api:poly-lengths": lambda: sq.QuadraticFrame(
+        [[sq.TimeJet([1.0, 2.0, 0.0]), sq.TimeJet([0.5])],
+         [sq.TimeJet([0.0, -1.0, 0.25, 0.0]), 0.0]]),
+}
+
+
+def _pinned_frame(name):
+    if name in API_FRAMES:
+        return API_FRAMES[name]()
+    name, _, mode = name.partition(":")
+    text = (DATA / name).read_text()
+    if name.endswith(".frame"):
+        return sq.parse_frame(text)
+    ode = sq.parse_ode(text)
+    if mode == "canonical":
+        return sq.driver_frame(sq.quadratize_canonical(ode))
+    if mode == "inverse":
+        return sq.inverse_joint_frame(sq.inverse_driver(ode))
+    return sq.driver_frame(sq.quadratize_inclusive(ode))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_FRAMES))
 def test_fixture_frames_keep_their_text_and_ref(name):
-    text = (DATA / name).read_text()
-    if name.endswith(".frame"):
-        frame = sq.parse_frame(text)
-    else:
-        frame = sq.driver_frame(sq.quadratize_inclusive(sq.parse_ode(text)))
+    frame = _pinned_frame(name)
     digest = hashlib.sha1(sq.serialize_frame(frame).encode()).hexdigest()[:12]
     assert (frame.ref(), digest) == FIXTURE_FRAMES[name]
+
+
+def test_no_frame_builds_a_jet_per_entry(monkeypatch):
+    """Frames are parsed, built, named, written and expanded on their
+    coefficient arrays: none of these constructs a TimeJet."""
+    rng = np.random.default_rng(40)
+    text = "".join(" ".join(map(repr, row)) + "\n"
+                   for row in rng.uniform(-1.0, 1.0, (40, 40)).tolist())
+    q = sq.quadratize_inclusive(sq.parse_ode((DATA / "exdom.spode").read_text()))
+    starts = [rng.uniform(0.5, 1.5, 40), sq.phi_eval(q, [0.5, 0.7, 0.9])]
+    calls = []
+    init = sq.TimeJet.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sq.TimeJet, "__init__", counted)
+    for frame, x0 in zip([sq.parse_frame(text), sq.driver_frame(q)], starts):
+        frame.ref()
+        sq.serialize_frame(frame)
+        sq.taylor(frame, x0, 0.0, 16)
+    assert len(calls) == 0
+
+
+def test_a_frame_reports_its_one_budget_for_every_entry():
+    """A frame keeps the smallest budget of its truncated jets, and its
+    entries and ref report that budget whether they came from exact or
+    truncated jets."""
+    trunc = sq.TimeJet([1.0, 0.5, 0.25], exact=False)  # trusts 2 orders
+    longer = sq.TimeJet([1.0, 2.0, 3.0, 4.0], exact=False)  # trusts 3
+    rows = [[trunc, sq.TimeJet([0.5, 1.0])], [0.0, longer]]
+    frame = sq.QuadraticFrame(rows)
+    assert frame.min_valid_order() == 2
+    jets = [frame.jet(i, j) for i in (1, 2) for j in (1, 2)]
+    assert all(not jet.exact and jet.valid_order == 2 for jet in jets)
+    text = f"{jets[0]!r},{jets[1]!r};{jets[2]!r},{jets[3]!r}"
+    assert "valid_order=2)" in repr(jets[2])
+    assert frame.ref() == hashlib.sha1(text.encode()).hexdigest()[:12]
+    exact = sq.QuadraticFrame([[sq.TimeJet(jet.coeffs) for jet in jets[:2]],
+                               [sq.TimeJet(jet.coeffs) for jet in jets[2:]]])
+    assert exact.min_valid_order() == math.inf and exact.jet(1, 1).exact
+    assert exact.ref() != frame.ref() and exact != frame
+    assert np.array_equal(exact.coeffs, frame.coeffs)
+    with pytest.raises(OrderBudget):
+        sq.taylor(frame, [1.0, 1.0], 0.0, 3)
+    sq.taylor(frame, [1.0, 1.0], 0.0, 2)
 
 
 def _alternating_frame():
@@ -372,8 +458,9 @@ def test_coefficients_match_exact_recursion_on_generated_frames(case):
     sol = sq.taylor(frame, x0, 0.0, K)
     exact = cauchy_exact(frame, x0, 0.0, K)
     majorant = cauchy_exact(
-        sq.QuadraticFrame([[sq.TimeJet(np.abs(jet.coeffs)) for jet in row]
-                           for row in frame.entries]),
+        sq.QuadraticFrame([[sq.TimeJet(np.abs(frame.jet(i, j).coeffs))
+                            for j in range(1, frame.dim + 1)]
+                           for i in range(1, frame.dim + 1)]),
         np.abs(x0), 0.0, K)
     for k in range(K + 1):
         err = np.max(np.abs(sol.coeffs[:, k] - [float(v) for v in exact[k]]))
