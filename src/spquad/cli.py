@@ -65,13 +65,18 @@ def _load_input(path: str):
     return "ode", parse_ode(text)
 
 
-def _meta(args, effective: dict) -> dict:
+def _meta(args) -> dict:
+    """The run's metadata; ``config`` holds its resolved options, so it can
+    be passed back as --config to repeat the run."""
+    config = {key: getattr(args, key) for key in _DEFAULTS.get(args.command, ())}
+    if args.command == "quadratize":
+        config["mode"] = args.mode
     return {
         "command": args.command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "input": str(args.input),
-        "config": effective,
+        "config": config,
     }
 
 
@@ -134,7 +139,7 @@ def cmd_analyze(args) -> int:
              "ode": serialize_ode(stage.ode) if stage.ode.n else ""}
             for stage in chain],
     }
-    payload = {"meta": _meta(args, {}), "result": result, "warnings": []}
+    payload = {"meta": _meta(args), "result": result, "warnings": []}
     rows = [["index", "class", "critical", "singular"]]
     for j in range(1, ode.n + 1):
         rows.append([j, descriptor.domain_class(j).value,
@@ -183,8 +188,7 @@ def cmd_quadratize(args) -> int:
         "frame": frame_text,
         "frame_ref": frame.ref(),
     }
-    payload = {"meta": _meta(args, {"mode": args.mode}), "result": result,
-               "warnings": []}
+    payload = {"meta": _meta(args), "result": result, "warnings": []}
     rows = [["s", "i", "l", "state", "monomial"]]
     rows += [[t["s"], t["i"], t["l"], t["state"], t["monomial"]] for t in table]
     lines = [f"mode: {args.mode}  driver dim: {q.driver_dim}"]
@@ -241,9 +245,7 @@ def cmd_series(args) -> int:
             rows.append([i, k, repr(float(sol.coeffs[r, k])),
                          repr(float(norm[r, k]))])
         lines.append(f"x{i}: c = {[float(v) for v in sol.coeffs[r]]}")
-    payload = {"meta": _meta(args, {"order": args.order, "t0": args.t0,
-                                    "x0": list(map(float, z0))}),
-               "result": result, "warnings": []}
+    payload = {"meta": _meta(args), "result": result, "warnings": []}
     _emit(args, payload, rows, "\n".join(lines))
     return 0
 
@@ -262,9 +264,7 @@ def cmd_solve(args) -> int:
         "path": [{"t": float(t), "x": [float(v) for v in x]}
                  for t, x in path],
     }
-    payload = {"meta": _meta(args, {"to": args.to, "t0": args.t0,
-                                    "order": args.order, "theta": args.theta}),
-               "result": result, "warnings": []}
+    payload = {"meta": _meta(args), "result": result, "warnings": []}
     # plottable CSV: one row per recenter point, caller's components
     rows = [["t"] + [f"x{i}" for i in wanted]]
     rows.append([args.t0] + [float(z0[comps[i] - 1]) for i in wanted])
@@ -329,9 +329,7 @@ def cmd_check(args) -> int:
         "radius_bound": _json_float(sol.radius_bound),
         "flagged": report.flagged,
     }
-    payload = {"meta": _meta(args, {"window": [a, b], "step": args.step,
-                                    "order": args.order, "t0": args.t0}),
-               "result": result,
+    payload = {"meta": _meta(args), "result": result,
                "warnings": (["samples beyond the radius bound"]
                             if report.flagged else [])}
     rows = []

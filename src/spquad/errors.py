@@ -72,11 +72,7 @@ class DomainExit(DomainError):
 # --- numeric errors ---------------------------------------------------------
 
 class NumericError(SpquadError):
-    """A value is not finite, or a budget of orders, steps or radius ran out."""
-
-
-class OrderBudget(NumericError):
-    """A truncated coefficient jet cannot supply the needed derivative order."""
+    """A value is not finite, or a budget of steps or radius ran out."""
 
 
 class OutOfRadius(NumericError):

@@ -1,19 +1,13 @@
-"""Truncated polynomial time coefficients ("jets").
+"""Polynomial time coefficients ("jets").
 
-A :class:`TimeJet` represents an analytic time coefficient by the polynomial
+A :class:`TimeJet` is a time coefficient given by the polynomial
 
     c0 + c1*(t - center) + c2*(t - center)**2 + ... + cM*(t - center)**M
 
-When ``exact`` is true the polynomial IS the coefficient (derivatives of all
-orders are available, eventually zero).  When ``exact`` is false the
-polynomial is a truncation of some analytic function and only the first
-``valid_order + 1`` coefficients are trustworthy.  That budget is data: a
-frame keeps the smallest one for all its entries
-(``QuadraticFrame.min_valid_order``), and :func:`~spquad.series.taylor` and
-:func:`~spquad.series.coefficient_tensors` raise
-:class:`~spquad.errors.OrderBudget` when it is below the order asked for.
-A frame is one coefficient array, not jets, so jets carry no arithmetic
-beyond scaling and negation.
+The polynomial IS the coefficient: the ``.spode`` and ``.frame`` grammars
+have numbers and ``poly(...)`` literals only, so every derivative order is
+available (eventually zero).  A frame is one coefficient array, not jets,
+so jets carry no arithmetic beyond negation.
 
 Jets are immutable; all operations return new instances.  Trailing zero
 coefficients are trimmed so equality and zero tests are canonical.
@@ -32,7 +26,7 @@ def _trim(coeffs):
 
 
 class TimeJet:
-    """Polynomial-in-time coefficient with an exactness flag.
+    """Polynomial-in-time coefficient.
 
     Parameters
     ----------
@@ -40,18 +34,11 @@ class TimeJet:
         Coefficients ``(c0, c1, ..., cM)`` of powers of ``t - center``.
     center : float
         Reference time the powers are taken around.
-    exact : bool
-        True when the polynomial is the full coefficient, false when it is
-        a truncation of an analytic function.
-    valid_order : int, optional
-        Number of trustworthy derivative orders for inexact jets; defaults
-        to ``len(coeffs) - 1``.  Ignored for exact jets.
     """
 
-    __slots__ = ("coeffs", "center", "exact", "valid_order")
+    __slots__ = ("coeffs", "center")
 
-    def __init__(self, coeffs, center: float = 0.0, exact: bool = True,
-                 valid_order: int | None = None):
+    def __init__(self, coeffs, center: float = 0.0):
         # the + 0.0 copies (never alias the caller) and folds -0.0 into 0.0
         arr = _trim(np.asarray(coeffs, dtype=float).reshape(-1) + 0.0)
         if arr.size == 0:
@@ -59,14 +46,6 @@ class TimeJet:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "center", float(center))
-        object.__setattr__(self, "exact", bool(exact))
-        if exact:
-            vo = None
-        elif valid_order is None:
-            vo = len(coeffs) - 1
-        else:
-            vo = int(valid_order)
-        object.__setattr__(self, "valid_order", vo)
 
     def __setattr__(self, name, value):
         raise AttributeError("TimeJet is immutable")
@@ -98,14 +77,7 @@ class TimeJet:
     # --- arithmetic ---
 
     def __neg__(self):
-        return TimeJet(-self.coeffs, self.center, self.exact,
-                       self.valid_order)
-
-    def scale(self, a: float) -> "TimeJet":
-        if a == 0.0:
-            return TimeJet.zero(self.center)
-        return TimeJet(self.coeffs * a, self.center, self.exact,
-                       self.valid_order)
+        return TimeJet(-self.coeffs, self.center)
 
     def __call__(self, t: float) -> float:
         u = float(t) - self.center
@@ -119,25 +91,22 @@ class TimeJet:
     def __eq__(self, other):
         if not isinstance(other, TimeJet):
             return NotImplemented
-        return (self.center == other.center and self.exact == other.exact
+        return (self.center == other.center
                 and len(self.coeffs) == len(other.coeffs)
                 and bool(np.all(self.coeffs == other.coeffs)))
 
     def __hash__(self):
-        return hash((self.center, self.exact, tuple(self.coeffs)))
+        return hash((self.center, tuple(self.coeffs)))
 
     def __repr__(self):
-        return jet_repr(self.coeffs, self.center, self.valid_order)
+        return jet_repr(self.coeffs, self.center)
 
 
-def jet_repr(coeffs, center: float = 0.0, valid_order: int | None = None):
-    """``TimeJet([c0,...], center=..., exact=False, valid_order=...)``, each
-    keyword left out at its default; ``valid_order`` is None when exact."""
+def jet_repr(coeffs, center: float = 0.0):
+    """``TimeJet([c0,...], center=...)``, the center left out at 0.0."""
     body = ",".join(repr(float(c)) for c in coeffs)
     ctr = "" if center == 0.0 else f", center={center!r}"
-    tags = ("" if valid_order is None
-            else f", exact=False, valid_order={valid_order}")
-    return f"TimeJet([{body}]{ctr}{tags})"
+    return f"TimeJet([{body}]{ctr})"
 
 
 def coefficient_lists(coeffs: np.ndarray) -> list[list[list[float]]]:

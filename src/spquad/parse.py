@@ -412,7 +412,7 @@ def parse_frame(text: str) -> QuadraticFrame:
     layers = max(len(c) for row in rows for c in row)
     return QuadraticFrame._from_coeffs(
         [[[c[l] if l < len(c) else 0.0 for c in row] for row in rows]
-         for l in range(layers)])
+         for l in range(layers)], 0.0)
 
 
 def serialize_frame(frame: QuadraticFrame) -> str:

@@ -34,13 +34,12 @@ class QuadraticFrame:
 
     ``coeffs[l, i, j]`` is the read-only coefficient of (t - center)**l in
     entry (i+1, j+1), with -0.0 stored as 0.0 and no trailing all-zero
-    layer.  The frame keeps one derivative budget, the smallest of the
-    truncated jets it was built from (inf when all are exact).  Rows of
-    numbers and jets take the center of their non-constant jets, which
-    must share one, else that of the first entry (0.0 for a number).
+    layer.  Rows of numbers and jets take the center of their non-constant
+    jets, which must share one, else that of the first entry (0.0 for a
+    number).
     """
 
-    __slots__ = ("coeffs", "center", "_budget")
+    __slots__ = ("coeffs", "center")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = [list(row) for row in rows]
@@ -55,30 +54,20 @@ class QuadraticFrame:
                     coeffs[:e.order + 1, i, j] = e.coeffs
                 else:
                     coeffs[0, i, j] = e
-        self._fill(coeffs, entries)
+        self._fill(coeffs, _center(entries))
 
     @classmethod
-    def _from_coeffs(cls, coeffs, entries=()) -> "QuadraticFrame":
-        return object.__new__(cls)._fill(coeffs, entries)
+    def _from_coeffs(cls, coeffs, center: float) -> "QuadraticFrame":
+        return object.__new__(cls)._fill(coeffs, center)
 
-    def _fill(self, coeffs, entries: Sequence) -> "QuadraticFrame":
-        """Keep ``coeffs`` with the center and budget of ``entries``, numbers
-        and jets it was built from, entry (1, 1) first (none: exact at 0)."""
-        centers = [e.center for e in entries
-                   if isinstance(e, TimeJet) and not e.is_constant()]
-        if any(c != centers[0] for c in centers):
-            raise ValueError("frame entries must share one center")
-        first = entries[0] if entries else 0.0
-        centers.append(first.center if isinstance(first, TimeJet) else 0.0)
+    def _fill(self, coeffs, center: float) -> "QuadraticFrame":
+        """Keep ``coeffs``, in powers of t - ``center``."""
         coeffs = np.asarray(coeffs, dtype=float) + 0.0   # -0.0 folds to 0.0
         layers = np.flatnonzero(coeffs.reshape(len(coeffs), -1).any(axis=1))
         coeffs = coeffs[:layers[-1] + 1 if len(layers) else 1]
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "center", centers[0])
-        object.__setattr__(self, "_budget", min(
-            (e.valid_order for e in entries
-             if isinstance(e, TimeJet) and not e.exact), default=math.inf))
+        object.__setattr__(self, "center", center)
         return self
 
     def __setattr__(self, name, value):
@@ -89,9 +78,8 @@ class QuadraticFrame:
         return self.coeffs.shape[1]
 
     def jet(self, i: int, j: int) -> TimeJet:
-        """Entry v_{i,j} (1-based), built with the frame's budget."""
-        return TimeJet(self.coeffs[:, i - 1, j - 1], self.center,
-                       self._budget == math.inf, self._budget)
+        """Entry v_{i,j} (1-based)."""
+        return TimeJet(self.coeffs[:, i - 1, j - 1], self.center)
 
     @property
     def is_stationary(self) -> bool:
@@ -116,28 +104,35 @@ class QuadraticFrame:
         xv = np.asarray(x, dtype=float)
         return (self.evaluate(t) @ xv) * xv
 
-    def min_valid_order(self) -> float:
-        """The frame's derivative budget (inf when exact)."""
-        return self._budget
-
     def ref(self) -> str:
         """Stable short identifier derived from the frame contents."""
-        budget = None if self._budget == math.inf else self._budget
-        text = ";".join(",".join(jet_repr(c, self.center, budget) for c in row)
+        text = ";".join(",".join(jet_repr(c, self.center) for c in row)
                         for row in coefficient_lists(self.coeffs))
         return hashlib.sha1(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticFrame):
             return NotImplemented
-        return (self.center == other.center and self._budget == other._budget
+        return (self.center == other.center
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.center, self._budget, self.coeffs.tobytes()))
+        return hash((self.center, self.coeffs.tobytes()))
 
     def __repr__(self):
         return f"QuadraticFrame(dim={self.dim}, ref={self.ref()})"
+
+
+def _center(entries: Sequence) -> float:
+    """The center of a frame built from ``entries``, numbers and jets with
+    entry (1, 1) first, by the rule :class:`QuadraticFrame` states."""
+    centers = [e.center for e in entries
+               if isinstance(e, TimeJet) and not e.is_constant()]
+    if any(c != centers[0] for c in centers):
+        raise ValueError("frame entries must share one center")
+    first = entries[0] if entries else 0.0
+    centers.append(first.center if isinstance(first, TimeJet) else 0.0)
+    return centers[0]
 
 
 @dataclass(frozen=True)
@@ -301,8 +296,8 @@ def driver_frame(q: Quadratization) -> QuadraticFrame:
     coeffs[:, rows, cols] = sign * pi[rows, cols] * columns[:, cols]
     # entry (1, 1), whose center a constant frame takes, then the jets in use
     first = jets[0] if pi[0, 0] != 0.0 else 0.0
-    return QuadraticFrame._from_coeffs(
-        coeffs, [first] + [jets[c] for c in sorted(set(cols.tolist()))])
+    return QuadraticFrame._from_coeffs(coeffs, _center(
+        [first] + [jets[c] for c in sorted(set(cols.tolist()))]))
 
 
 def inverse_joint_frame(q: Quadratization) -> QuadraticFrame:
@@ -315,10 +310,8 @@ def inverse_joint_frame(q: Quadratization) -> QuadraticFrame:
     """
     base = driver_frame(replace(q, inverse=False))
     zero = np.zeros_like(base.coeffs)
-    # entry (1, 1) carries the base's center and budget
     return QuadraticFrame._from_coeffs(
-        np.block([[base.coeffs, zero], [-base.coeffs, zero]]),
-        [base.jet(1, 1)])
+        np.block([[base.coeffs, zero], [-base.coeffs, zero]]), base.center)
 
 
 def phi_eval(q: Quadratization, x: Sequence[float]) -> np.ndarray:

@@ -49,8 +49,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (Divergence, DomainExit, OrderBudget, OutOfRadius,
-                     StepLimit, ZeroComponent)
+from .errors import (Divergence, DomainExit, OutOfRadius, StepLimit,
+                     ZeroComponent)
 from .jets import TimeJet
 from .quadratize import QuadraticFrame
 
@@ -175,28 +175,21 @@ class SeriesSolution:
 
 def _check_order(frame: QuadraticFrame, K: int,
                  components) -> tuple[int, ...]:
-    """The selected 1-based components, once K passes the order cap and
-    the derivative budget of the frame's truncated jets."""
+    """The selected 1-based components, once K passes the order cap."""
     if K < 0:
         raise ValueError("order must be >= 0")
     if K > MAX_ORDER:
         raise ValueError(f"order capped at {MAX_ORDER} by float factorial range")
     if components is None:
-        comps = tuple(range(1, frame.dim + 1))
-    else:
-        seen = []
-        for i in components:
-            i = int(i)
-            if not 1 <= i <= frame.dim:
-                raise ValueError(f"component {i} out of range")
-            if i not in seen:
-                seen.append(i)
-        comps = tuple(seen)
-    if frame.min_valid_order() < K:
-        raise OrderBudget(
-            f"frame jets supply {frame.min_valid_order():.0f} derivative "
-            f"orders but order {K} was requested")
-    return comps
+        return tuple(range(1, frame.dim + 1))
+    seen = []
+    for i in components:
+        i = int(i)
+        if not 1 <= i <= frame.dim:
+            raise ValueError(f"component {i} out of range")
+        if i not in seen:
+            seen.append(i)
+    return tuple(seen)
 
 
 def _mset_from_counts(root: int, counts, cols: tuple[int, ...]) -> IndexMultiset:
@@ -279,10 +272,8 @@ def coefficient_tensors(frame: QuadraticFrame, K: int,
     :class:`CoefficientTensor` per component, from the frame alone.  Each
     layer maps a tail's counts over the support to the coefficients of its
     entry in powers of t - center, which become jets only on return, so one
-    build serves every initial point and center.  Truncated frame jets must
-    carry at least K trustworthy orders, else :class:`OrderBudget` is
-    raised.  The cost grows like C(K + sigma, sigma) in the support size
-    sigma."""
+    build serves every initial point and center.  The cost grows like
+    C(K + sigma, sigma) in the support size sigma."""
     comps = _check_order(frame, K, components)
     cols, _ = support(frame)
     S0 = [j - 1 for j in cols]
@@ -311,9 +302,8 @@ def coefficient_tensors(frame: QuadraticFrame, K: int,
 def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
            components: Iterable[int] | None = None) -> SeriesSolution:
     """Series coefficients for an arbitrary (constant or time-jet) frame,
-    from the Cauchy-product recursion.  Truncated frame jets must carry at
-    least K trustworthy orders, else :class:`OrderBudget` is raised; an x0
-    that is not one finite value per component raises ValueError.
+    from the Cauchy-product recursion.  An x0 that is not one finite value
+    per component raises ValueError.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (frame.dim,):

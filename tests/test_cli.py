@@ -558,6 +558,25 @@ def test_an_option_as_flag_or_in_config_gives_the_same_result(
     assert by_flag["meta"]["config"] == by_config["meta"]["config"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--order", "6", "--t0", "-1e-3"],
+    ["solve", "--to", "0.2", "--max-steps", "50"],
+    ["check", "--window=-0.01,0.01", "--step", "1e-3", "--samples", "7"],
+], ids=["series", "solve", "check"])
+def test_meta_config_replays_the_run(argv, tmp_path, capsys):
+    """A run's meta.config holds its resolved options, the caller's --x0
+    included, so passing it back as --config repeats the run."""
+    linear2 = str(DATA / "linear2.spode")
+    _, first = run_json(capsys, argv[:1] + [linear2, "--format", "json",
+                                            "--x0", "-1,0.5"] + argv[1:])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(first["meta"]["config"]))
+    _, again = run_json(capsys, [argv[0], linear2, "--config", str(cfg),
+                                 "--format", "json"])
+    assert again["result"] == first["result"]
+    assert again["meta"]["config"] == first["meta"]["config"]
+
+
 def test_check_of_overflowing_spode_is_a_blowup(tmp_path, capsys):
     p = tmp_path / "cube.spode"
     p.write_text("x1' = x1^3\n")

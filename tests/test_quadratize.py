@@ -252,7 +252,7 @@ def test_airy_frame_row3_against_reference_integration():
     variant = sq.QuadraticFrame([
         [0.0, 0.0, t, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, t.scale(-1.0), 0.0],
+        [0.0, 1.0, -t, 0.0],
         [0.0, 0.0, t, -1.0],
     ])
     corrected = airy_frame_expected()

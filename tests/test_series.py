@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spquad as sq
-from spquad.errors import (Divergence, DomainExit, OrderBudget, StepLimit,
-                           ZeroComponent)
+from spquad.errors import Divergence, DomainExit, StepLimit, ZeroComponent
 from spquad.series import RadiusWarning, _tail_step
 from support import (airy_first_order, airy_frame_expected, airy_series,
                      cauchy_exact, fixture_frame, ordered_string_ck,
@@ -202,6 +201,34 @@ def test_frame_center_comes_from_its_jets(jet_first):
     assert np.max(np.abs(a.coeffs - b) / scale) < 1e-12
 
 
+def test_a_frame_takes_the_one_center_of_its_jets():
+    """Rows and driver frames take the center their non-constant jets
+    share, else that of entry (1, 1); jets at two centers raise.  The refs
+    pin each frame's coefficients and center."""
+    def at(c):
+        return sq.TimeJet([1.0, 0.5], center=c)
+
+    def system(c1, c2):
+        return sq.SigmaPiOde(2, [[(c1, {1: 2, 2: 1})], [(c2, {1: 1, 2: 1})]])
+
+    const = sq.TimeJet([2.0], center=0.7)
+    with pytest.raises(ValueError, match="frame entries must share one center"):
+        sq.QuadraticFrame([[at(0.25), at(0.5)], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="frame entries must share one center"):
+        sq.driver_frame(sq.quadratize_inclusive(system(at(0.3), at(0.6))))
+    frames = [
+        sq.QuadraticFrame([[const, 0.5], [0.0, 1.0]]),
+        sq.QuadraticFrame([[const, at(0.25)], [0.0, 1.0]]),
+        sq.driver_frame(sq.quadratize_inclusive(system(at(0.3), 0.5))),
+        sq.driver_frame(sq.quadratize_canonical(
+            sq.SigmaPiOde(1, [[(const, {1: 2})]]))),
+        sq.inverse_joint_frame(sq.inverse_driver(system(at(0.3), 0.5))),
+    ]
+    assert [(f.center, f.ref()) for f in frames] == [
+        (0.7, "4b5d4fa601a2"), (0.25, "7488af772710"), (0.3, "a19c774caf81"),
+        (0.7, "dede3fb40cfe"), (0.3, "caa5a11914b6")]
+
+
 def test_one_tensor_build_serves_every_start_and_center():
     """The tensors depend on the frame alone: one build, contracted at
     three initial points and three centers, gives taylor's coefficients,
@@ -225,14 +252,6 @@ def test_one_tensor_build_serves_every_start_and_center():
             got = _contracted(tensors, x0, t0, 8)
             scale = np.max(np.abs(want), axis=0)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
-
-
-def test_tensors_of_a_truncated_frame_raise_order_budget():
-    trunc = sq.TimeJet([1.0, 0.5, 0.25], exact=False)  # trusts 2 orders
-    frame = sq.QuadraticFrame([[trunc, 0.5], [0.0, 1.0]])
-    with pytest.raises(OrderBudget):
-        sq.coefficient_tensors(frame, 3)
-    assert set(sq.coefficient_tensors(frame, 2)) == {1, 2}
 
 
 def test_a_tensor_contracts_only_to_its_build_order():
@@ -371,30 +390,6 @@ def test_no_frame_builds_a_jet_per_entry(monkeypatch):
         sq.serialize_frame(frame)
         sq.taylor(frame, x0, 0.0, 16)
     assert len(calls) == 0
-
-
-def test_a_frame_reports_its_one_budget_for_every_entry():
-    """A frame keeps the smallest budget of its truncated jets, and its
-    entries and ref report that budget whether they came from exact or
-    truncated jets."""
-    trunc = sq.TimeJet([1.0, 0.5, 0.25], exact=False)  # trusts 2 orders
-    longer = sq.TimeJet([1.0, 2.0, 3.0, 4.0], exact=False)  # trusts 3
-    rows = [[trunc, sq.TimeJet([0.5, 1.0])], [0.0, longer]]
-    frame = sq.QuadraticFrame(rows)
-    assert frame.min_valid_order() == 2
-    jets = [frame.jet(i, j) for i in (1, 2) for j in (1, 2)]
-    assert all(not jet.exact and jet.valid_order == 2 for jet in jets)
-    text = f"{jets[0]!r},{jets[1]!r};{jets[2]!r},{jets[3]!r}"
-    assert "valid_order=2)" in repr(jets[2])
-    assert frame.ref() == hashlib.sha1(text.encode()).hexdigest()[:12]
-    exact = sq.QuadraticFrame([[sq.TimeJet(jet.coeffs) for jet in jets[:2]],
-                               [sq.TimeJet(jet.coeffs) for jet in jets[2:]]])
-    assert exact.min_valid_order() == math.inf and exact.jet(1, 1).exact
-    assert exact.ref() != frame.ref() and exact != frame
-    assert np.array_equal(exact.coeffs, frame.coeffs)
-    with pytest.raises(OrderBudget):
-        sq.taylor(frame, [1.0, 1.0], 0.0, 3)
-    sq.taylor(frame, [1.0, 1.0], 0.0, 2)
 
 
 def _alternating_frame():
@@ -640,17 +635,6 @@ def test_zero_component_rejected():
         sq.taylor(exp_frame(), [1.0, 0.0], 0.0, 4)
     with pytest.raises(ZeroComponent):
         sq.taylor(exp_frame(), [0.0, 1.0], 0.0, 4)
-
-
-def test_order_budget_on_truncated_jets():
-    trunc = sq.TimeJet([1.0, 0.5, 0.25], exact=False)  # trusts 2 orders
-    frame = sq.QuadraticFrame([[trunc]])
-    with pytest.raises(OrderBudget):
-        sq.taylor(frame, [1.0], 0.0, 5)
-    sol = sq.taylor(frame, [1.0], 0.0, 2)
-    exact = sq.taylor(sq.QuadraticFrame([[sq.TimeJet([1.0, 0.5, 0.25])]]),
-                              [1.0], 0.0, 2)
-    assert np.array_equal(sol.coeffs, exact.coeffs)
 
 
 def test_order_cap():
