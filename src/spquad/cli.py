@@ -251,6 +251,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.order < 1:   # at order 0 the tail estimate is the value itself
+        raise errors.UsageError("solve needs an --order (or 'order' in "
+                                f"--config) of at least 1, not {args.order}")
     kind, obj, frame, z0, comps = _series_common(args)
     value, path = continue_to(frame, z0, args.t0, args.to,
                               K=args.order, theta=args.theta,

@@ -305,6 +305,17 @@ def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
     from the Cauchy-product recursion.  An x0 that is not one finite value
     per component raises ValueError.
     """
+    x0 = _checked_state(frame, x0)
+    comps = _check_order(frame, K, components)
+    coeffs = _cauchy(frame, x0, t0, K)[[i - 1 for i in comps]]
+    return SeriesSolution(
+        t0=float(t0), x0=x0, order=K, components=comps, coeffs=coeffs,
+        radius_bound=convergence_bound(frame, x0, t0))
+
+
+def _checked_state(frame: QuadraticFrame, x0) -> np.ndarray:
+    """x0 as a float array, once it holds one finite nonzero value per
+    component."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (frame.dim,):
         raise ValueError(f"x0 must have {frame.dim} components")
@@ -312,11 +323,7 @@ def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
     if np.any(x0 == 0.0):
         bad = int(np.nonzero(x0 == 0.0)[0][0]) + 1
         raise ZeroComponent(f"x0 component {bad} is zero")
-    comps = _check_order(frame, K, components)
-    coeffs = _cauchy(frame, x0, t0, K)[[i - 1 for i in comps]]
-    return SeriesSolution(
-        t0=float(t0), x0=x0, order=K, components=comps, coeffs=coeffs,
-        radius_bound=convergence_bound(frame, x0, t0))
+    return x0
 
 
 # --------------------------------------------------------------------------
@@ -338,16 +345,22 @@ def convergence_bound(frame: QuadraticFrame, x0, t0: float = 0.0) -> float:
     component of x0 that is not finite."""
     x0 = np.asarray(x0, dtype=float)
     _check_finite(x0)
-    cols, _ = support(frame)
-    sigma = len(cols)
+    return _bound(frame, len(support(frame)[0]), t0, x0)
+
+
+def _bound(frame: QuadraticFrame, sigma: int, t: float, x0: np.ndarray,
+           v_M: float | None = None) -> float:
+    """1 / (sigma * v_M * x_M) for support size sigma, with v_M = max |V(t)|
+    unless given; inf where one of the three factors vanishes."""
     if sigma == 0:
-        return float("inf")
-    v_M = float(np.max(np.abs(frame.evaluate(t0))))
+        return math.inf
+    if v_M is None:
+        v_M = float(np.max(np.abs(frame.evaluate(t))))
     if v_M == 0.0:
-        return float("inf")
+        return math.inf
     x_M = float(np.max(np.abs(x0)))
     if x_M == 0.0:
-        return float("inf")
+        return math.inf
     return 1.0 / (sigma * v_M * x_M)
 
 
@@ -406,15 +419,32 @@ def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     return vals, err
 
 
-def _tail_step(series: SeriesSolution, x) -> float:
-    """Order-K step of Jorba & Zou (2005): the minimum over components i and
-    j in {K-1, K} (j >= 1) with a_{j,i} != 0 of (eps |x_i| / |a_{j,i}|)^(1/j),
-    a = ``series.normalized()``, eps = ``TAIL_EPS``; inf when all of those
-    coefficients vanish.  Taken per component, not over norms, since driver
-    coordinates may differ by hundreds of orders of magnitude."""
-    K = series.order
+def _horner(rows: list[list[float]], u: float,
+            K: int) -> tuple[list[float], list[float]]:
+    """Values sum_k a_k u^k and estimates |a_K u^K| of rows of normalized
+    coefficients a_0 .. a_K at one offset u, on Python floats.  Each step
+    is the multiply and the add that the array loop of :func:`evaluate`
+    makes per element, so both give the same bits."""
+    u_K = _power(u, K)
+    vals = []
+    for row in rows:
+        v = 0.0
+        for c in reversed(row):
+            v = v * u + c
+        vals.append(v)
+    return vals, [abs(row[K] * u_K) for row in rows]
+
+
+def _tail_step(a: np.ndarray, x) -> float:
+    """Order-K step of Jorba & Zou (2005) from the normalized coefficients
+    a[i, k], k <= K: the minimum over components i and j in {K-1, K}
+    (j >= 1) with a_{j,i} != 0 of (eps |x_i| / |a_{j,i}|)^(1/j),
+    eps = ``TAIL_EPS``; inf when all of those coefficients vanish.  Taken
+    per component, not over norms, since driver coordinates may differ by
+    hundreds of orders of magnitude."""
+    K = a.shape[1] - 1
     js = np.arange(max(K - 1, 1), K + 1)
-    tail = np.abs(series.normalized()[:, js])
+    tail = np.abs(a[:, js])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = (TAIL_EPS * np.abs(np.asarray(x, dtype=float))[:, None] / tail) ** (1.0 / js)
     return float(np.min(h, where=tail > 0.0, initial=math.inf))
@@ -425,11 +455,12 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
                 tail_tol: float = 1e-9) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
     """Analytic continuation by repeated re-expansion.
 
-    Each stage expands at the current center and advances by the larger of
-    the tail step :func:`_tail_step` (eps = ``TAIL_EPS``) and theta times
-    the local radius bound, or straight to the target when that is closer;
-    theta is thus the floor of the step as a fraction of the radius bound,
-    and the floor alone applies when the tail step is inf.
+    Each stage expands at the current center to order K >= 1 and advances
+    by the larger of the tail step :func:`_tail_step` (eps = ``TAIL_EPS``)
+    and theta times the local radius bound, or straight to the target when
+    that is closer; theta is thus the floor of the step as a fraction of
+    the radius bound, and the floor alone applies when the tail step is
+    inf.
     Neither rule is a truncation guarantee (the radius bound is a
     convergence statement, and for time-dependent frames only local to the
     center), so a step is additionally halved until the last-kept-term
@@ -442,9 +473,21 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
     wrong answer), :class:`DomainExit` when a component reaches zero.
     :class:`StepLimit` is raised when the budget runs out or the step size
     underflows the time resolution.
+
+    Once per continuation: the support size sigma of the radius bound,
+    and for a stationary frame v_M = max |V| too, so a recenter computes
+    only x_M of it.  Once per recenter: :func:`taylor`'s checks of the
+    state, and the coefficients normalized as
+    :meth:`SeriesSolution.normalized` does, which the tail step and every
+    halving read; a halving evaluates its one time with :func:`_horner`.
+    Steps, states and value equal those built from :func:`taylor` and
+    :func:`evaluate` bit for bit.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
+    if K < 1:
+        raise ValueError("the continuation needs order K >= 1: at K = 0 the "
+                         "tail estimate |a_0| is the value itself")
     if not (math.isfinite(t0) and math.isfinite(t_target)):
         raise ValueError(f"t0 = {t0} and t_target = {t_target} must be finite")
     x = np.asarray(x0, dtype=float)
@@ -466,33 +509,39 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
         if np.any(np.abs(x) <= 1e-12 * scale):
             raise DomainExit(f"a component reached zero near t = {t}")
 
+    sigma = len(support(frame)[0])
+    # a stationary V(t) is its one layer wherever t - center is finite, and
+    # so between t0 and t_target when it is at both
+    v_M = (float(np.max(np.abs(frame.coeffs[0]))) if frame.is_stationary
+           and math.isfinite(t - frame.center)
+           and math.isfinite(t_target - frame.center) else None)
     check_state(x, t)
     for _ in range(max_steps):
-        series = taylor(frame, x, t, K)
+        x = _checked_state(frame, x)        # taylor's checks, in its order
+        _check_order(frame, K, None)
+        a = _cauchy(frame, x, t, K) / _FACTORIALS[:K + 1]
+        rows = a.tolist()
         remaining = t_target - t
-        reach = theta * series.radius_bound
-        tail_step = _tail_step(series, x)
+        reach = theta * _bound(frame, sigma, t, x, v_M)
+        tail_step = _tail_step(a, x)
         if tail_step < math.inf:       # all-zero tails keep the floor
             reach = max(reach, tail_step)
         step = remaining if reach >= abs(remaining) else np.sign(remaining) * reach
-        vals = None
         for _ in range(80):
             t_new = t_target if abs(step) >= abs(remaining) else t + step
             if t_new == t:
                 raise StepLimit(
                     f"step size underflowed the time resolution near t = {t}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RadiusWarning)
-                vals, err = evaluate(series, t_new)
-            bad = (not np.all(np.isfinite(vals))
-                   or np.max(err / np.maximum(np.abs(vals), 1e-300)) > tail_tol)
-            if not bad:
-                break
+            vals, err = _horner(rows, float(t_new - t), K)
+            if all(map(math.isfinite, vals)):
+                rel = [e / max(abs(v), 1e-300) for v, e in zip(vals, err)]
+                # as np.max of them: one NaN ratio makes it NaN, which passes
+                if any(map(math.isnan, rel)) or not max(rel) > tail_tol:
+                    break
             step *= 0.5
-            vals = None
-        if vals is None:
+        else:
             raise StepLimit(f"could not control truncation error near t = {t}")
-        x, t = vals, t_new
+        x, t = np.array(vals), t_new
         check_state(x, t)
         path.append((t, x.copy()))
         if t == t_target:

@@ -449,6 +449,22 @@ def test_options_missing_or_beyond_their_budget_are_usage_errors(
     assert captured.out == "" and captured.err == line + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_solve_at_order_zero_is_one_usage_error(fmt, tmp_path, capsys):
+    """At order 0 the tail estimate is the value, so no step could pass:
+    the flag and the config value are usage errors, not numeric ones."""
+    config = tmp_path / "c.json"
+    config.write_text('{"order": 0}')
+    line = ("usage error: solve needs an --order (or 'order' in --config) "
+            "of at least 1, not 0\n")
+    argv = ["solve", str(DATA / "linear2.spode"), "--to", "1", "--x0", "1,0.5",
+            "--format", fmt]
+    for extra in (["--order", "0"], ["--config", str(config)]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr() == ("", line)
+    assert main(argv + ["--order", "8"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["series", VEX, "--x0", "1,1", "--t0", "1e308", "--order", "5"],
     ["check", VEX, "--x0", "1,1", "--t0", "1e308", "--window=0,1.7e308",

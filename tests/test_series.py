@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import spquad as sq
 from spquad.errors import Divergence, DomainExit, StepLimit, ZeroComponent
-from spquad.series import RadiusWarning, _tail_step
+from spquad.series import RadiusWarning, _horner, _tail_step
 from support import (airy_first_order, airy_frame_expected, airy_series,
                      cauchy_exact, fixture_frame, ordered_string_ck,
                      random_frame, random_jet_frame)
@@ -754,20 +754,43 @@ def test_evaluate_geometric_series():
     assert err[0] == pytest.approx(0.5 ** 30)
 
 
+# (frame, x0, t0, K, components, times): random times inside the radius
+# bound, then K = 0, K = 170, a power |t - t0|^100 beyond the float range
+# (the estimate is inf, or NaN where a_K = 0), times below t0 and a
+# time-dependent frame
+_SCALAR_ARRAY_CASES = [
+    (sq.QuadraticFrame([[0.0, 0.8, 0.1], [0.2, 0.0, 0.3], [0.1, 0.1, -0.2]]),
+     [1.0, 0.5, 0.7], 0.1, 30, [3, 1],     # radius bound 5/12
+     0.1 + np.random.default_rng(7).uniform(-0.375, 0.375, (4, 5))),
+    (sq.QuadraticFrame([[0.0, 0.8], [0.2, -0.3]]), [1.0, 0.5], 0.1, 0, None,
+     [0.1, 0.35, -0.4]),
+    (exp_frame(3.0), [1.0, 1.0], 0.0, 170, None, [0.5, -2.0, 3.0]),
+    (sq.QuadraticFrame([[1.0, 0.0], [0.0, 0.0]]), [1.0, 2.0], 0.0, 100, None,
+     [1e5, -1e5, 0.5]),
+    (sq.QuadraticFrame([[0.0, t_jet(2.0)], [0.0, 0.0]]), [1.0, 1.0], 0.25, 30,
+     None, [0.0, -0.3, 0.6, 0.25]),
+]
+
+
 def test_evaluate_on_array_equals_scalar_calls_bitwise():
-    frame = sq.QuadraticFrame([[0.0, 0.8, 0.1], [0.2, 0.0, 0.3],
-                               [0.1, 0.1, -0.2]])
-    sol = sq.taylor(frame, [1.0, 0.5, 0.7], 0.1, 30, components=[3, 1])
-    rng = np.random.default_rng(7)
-    ts = 0.1 + rng.uniform(-0.9, 0.9, (4, 5)) * sol.radius_bound
-    vals, err = sq.evaluate(sol, ts)
-    assert vals.shape == err.shape == (4, 5, 2)
-    pairs = [sq.evaluate(sol, t) for t in ts.ravel()]
-    assert np.array_equal(vals.reshape(-1, 2), np.stack([v for v, _ in pairs]))
-    assert np.array_equal(err.reshape(-1, 2), np.stack([e for _, e in pairs]))
-    scalar_vals, scalar_err = sq.evaluate(sol, float(ts[0, 0]))
-    assert scalar_vals.shape == scalar_err.shape == (2,)
-    assert sq.evaluate(sol, np.array([]))[0].shape == (0, 2)
+    """The array form, the stacked scalar calls and the float Horner of
+    continue_to give the same bits, also at the edges."""
+    for frame, x0, t0, K, comps, ts in _SCALAR_ARRAY_CASES:
+        sol = sq.taylor(frame, x0, t0, K, components=comps)
+        ts, n = np.asarray(ts), len(sol.components)
+        rows = sol.normalized().tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RadiusWarning)
+            vals, err = sq.evaluate(sol, ts)
+            assert vals.shape == err.shape == ts.shape + (n,)
+            for t, v, e in zip(ts.ravel(), vals.reshape(-1, n), err.reshape(-1, n)):
+                scalar_vals, scalar_err = sq.evaluate(sol, float(t))
+                assert scalar_vals.shape == scalar_err.shape == (n,)
+                horner_vals, horner_err = _horner(rows, float(t - t0), K)
+                for got, want in ((scalar_vals, v), (scalar_err, e),
+                                  (horner_vals, v), (horner_err, e)):
+                    assert np.array(got).tobytes() == want.tobytes()
+        assert sq.evaluate(sol, np.array([]))[0].shape == (0, n)
 
 
 def test_evaluate_where_the_power_overflows():
@@ -828,6 +851,13 @@ def test_continuation_theta_validation():
         sq.continue_to(exp_frame(), [1.0, 1.0], 0.0, 1.0, theta=0.0)
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_continuation_needs_order_one(K):
+    """At K = 0 the estimate |a_0| is the value, so no step could pass."""
+    with pytest.raises(ValueError, match="order K >= 1"):
+        sq.continue_to(exp_frame(), [1.0, 1.0], 0.0, 1.0, K=K)
+
+
 @pytest.mark.parametrize("t0, target", [(0.0, math.nan), (math.nan, 1.0),
                                         (0.0, math.inf), (-math.inf, 0.0)])
 def test_continuation_rejects_a_time_that_is_not_finite(t0, target):
@@ -868,16 +898,16 @@ def test_tail_step_is_the_per_component_minimum():
         for K in (1, 2, 10, 30):
             sol = sq.taylor(frame, x, 0.1, K)
             want = _tail_step_per_component(sol, x)
-            assert _tail_step(sol, x) == pytest.approx(want, rel=1e-14)
+            assert _tail_step(sol.normalized(), x) == pytest.approx(want, rel=1e-14)
     # the small component decides: over norms the step would be ~1e15
     sol = sq.taylor(cases[-1][0], [1e-300, 1.0], 0.0, 20)
-    assert _tail_step(sol, [1e-300, 1.0]) < 2.0
+    assert _tail_step(sol.normalized(), [1e-300, 1.0]) < 2.0
 
 
 def test_tail_step_of_an_all_zero_tail_is_inf():
     zero = sq.taylor(sq.QuadraticFrame([[0.0, 0.0], [0.0, 0.0]]), [1.0, 2.0], 0.0, 12)
-    assert _tail_step(zero, [1.0, 2.0]) == math.inf
-    assert _tail_step(sq.taylor(exp_frame(), [1.0, 1.0], 0.0, 0), [1.0, 1.0]) == math.inf
+    assert _tail_step(zero.normalized(), [1.0, 2.0]) == math.inf
+    assert _tail_step(sq.taylor(exp_frame(), [1.0, 1.0], 0.0, 0).normalized(), [1.0, 1.0]) == math.inf
 
 
 def test_all_zero_tail_keeps_the_radius_floor():
@@ -889,25 +919,51 @@ def test_all_zero_tail_keeps_the_radius_floor():
     assert [t for t, _ in path] == [0.25, 0.5, 0.75, 1.0]
 
 
-def _theta_rbar_path(frame, x0, t0, T, K, theta=0.5, tail_tol=1e-9):
-    """Reference: the step theta * r_bar, halved until the tail check holds."""
-    x, t, path = np.asarray(x0, dtype=float), float(t0), []
+def _continuation_path(frame, x0, t0, T, K, theta=0.5, tail_tol=1e-9):
+    """Reference for a continuation that reaches T, from the public taylor
+    and evaluate: reach = max(theta * r_bar, tail step), where the tail step
+    is the minimum over components i and j in {K-1, K} with a_{j,i} != 0
+    of (1e-16 |x_i| / |a_{j,i}|)^(1/j) in numpy powers, and the step is
+    halved until the last-term estimate holds.  Also returns how many
+    recenters the tail step decided."""
+    x, t, path, tail_won = np.asarray(x0, dtype=float), float(t0), [], 0
+    js = np.arange(max(K - 1, 1), K + 1)
     while t != T:
         sol = sq.taylor(frame, x, t, K)
-        remaining = T - t
+        tail = np.abs(sol.normalized()[:, js])
+        with np.errstate(divide="ignore", over="ignore"):
+            h = (1e-16 * np.abs(x)[:, None] / tail) ** (1.0 / js)
+        tail_step = float(np.min(h, where=tail > 0.0, initial=math.inf))
         reach = theta * sol.radius_bound
+        if tail_step < math.inf and tail_step > reach:
+            reach, tail_won = tail_step, tail_won + 1
+        remaining = T - t
         step = remaining if reach >= abs(remaining) else np.sign(remaining) * reach
         while True:
             t_new = T if abs(step) >= abs(remaining) else t + step
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RadiusWarning)
                 vals, err = sq.evaluate(sol, t_new)
-            if np.all(np.isfinite(vals)) and np.max(err / np.abs(vals)) <= tail_tol:
+            if (np.all(np.isfinite(vals)) and not np.max(
+                    err / np.maximum(np.abs(vals), 1e-300)) > tail_tol):
                 break
             step *= 0.5
         x, t = vals, t_new
         path.append((t, x.copy()))
-    return x, path
+    return x, path, tail_won
+
+
+def _assert_path_is_the_reference(frame, x0, T, K=30, **kw):
+    """continue_to from t0 = 0 equals the reference bit for bit; returns
+    how many of its recenters the tail step decided."""
+    value, path = sq.continue_to(frame, x0, 0.0, T, K=K, **kw)
+    want_value, want_path, tail_won = _continuation_path(frame, x0, 0.0, T, K,
+                                                         **kw)
+    assert value.tobytes() == want_value.tobytes()
+    assert [t for t, _ in path] == [t for t, _ in want_path]
+    assert all(x.tobytes() == w.tobytes()
+               for (_, x), (_, w) in zip(path, want_path))
+    return tail_won
 
 
 @pytest.mark.parametrize("a, x0, T", [
@@ -915,12 +971,38 @@ def _theta_rbar_path(frame, x0, t0, T, K, theta=0.5, tail_tol=1e-9):
 def test_riccati_steps_equal_the_radius_rule_bitwise(a, x0, T):
     """On x' = a x^2 the radius bound is the true radius and the tail step
     (about 0.28 r_bar at K = 30) lies below theta * r_bar = 0.5 r_bar."""
-    frame = sq.QuadraticFrame([[a]])
-    value, path = sq.continue_to(frame, [x0], 0.0, T, K=30)
-    want_value, want_path = _theta_rbar_path(frame, [x0], 0.0, T, 30)
-    assert np.array_equal(value, want_value)
-    assert [t for t, _ in path] == [t for t, _ in want_path]
-    assert all(np.array_equal(x, w) for (_, x), (_, w) in zip(path, want_path))
+    assert _assert_path_is_the_reference(sq.QuadraticFrame([[a]]), [x0], T) == 0
+
+
+@pytest.mark.parametrize("name, x0, T", [
+    ("linear2.spode", [1.0, 0.5], 3.0), ("bernoulli.spode", [1.0], 2.0),
+    ("airy_first_order.spode", [1.0, 0.5], 2.5), ("vex.frame", [1.0, 1.0], 1.5),
+    ("linear2.spode", [1.0, 0.5], -0.4), ("vex.frame", [1.0, 1.0], -1.0)])
+@pytest.mark.parametrize("tail_tol", [1e-9, 1e-20])
+def test_tail_step_paths_equal_the_full_rule_bitwise(name, x0, T, tail_tol):
+    """Driver frames, a .frame file, backward targets and a tail_tol that
+    forces halvings: every step, state and the value are the reference's.
+    Going forward, the tail step decides some recenters on every fixture."""
+    frame = fixture_frame(DATA / name)
+    if name.endswith(".spode"):
+        ode = sq.parse_ode((DATA / name).read_text())
+        x0 = sq.phi_eval(sq.quadratize_inclusive(ode), x0)
+    tail_won = _assert_path_is_the_reference(frame, x0, T, tail_tol=tail_tol)
+    assert tail_won > 0 or T < 0
+
+
+def test_random_frames_continue_as_the_full_rule_bitwise():
+    rng = np.random.default_rng(2026)
+    tail_won = 0
+    for k in range(16):
+        frame = (random_frame(rng, m_max=4) if k % 2
+                 else random_jet_frame(rng, center=0.25))
+        x0 = rng.uniform(0.5, 1.5, frame.dim)
+        T = 0.3 if k % 4 < 2 else -0.3
+        tail_won += _assert_path_is_the_reference(
+            frame, x0, T, K=int(rng.choice([8, 20, 30])),
+            tail_tol=1e-20 if k % 3 == 0 else 1e-9)
+    assert tail_won > 0
 
 
 def test_strict_tail_tolerance_halves_and_succeeds():
