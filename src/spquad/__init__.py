@@ -8,7 +8,6 @@ cross-check against a fixed-step RK4 reference (:mod:`spquad.oracle`).
 """
 
 from . import errors
-from .jets import TimeJet
 from .oracle import CompareReport, Trajectory, compare, rk4
 from .parse import (SourceSpan, parse_frame, parse_ode, serialize_frame,
                     serialize_ode)
@@ -27,7 +26,7 @@ from .sigmapi import (DecompositionStage, DomainClass, DomainDescriptor,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeJet", "Monomial", "SigmaPiOde", "DomainClass", "DomainDescriptor",
+    "Monomial", "SigmaPiOde", "DomainClass", "DomainDescriptor",
     "StructureReport", "DecompositionStage", "analyze_domain", "structure",
     "project", "decompose_global",
     "Quadratization", "QuadraticFrame", "quadratize_canonical",

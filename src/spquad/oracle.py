@@ -15,15 +15,16 @@ loop.  Each stage's right-hand side is
 * for a :class:`SigmaPiOde`, inlined from its terms in the order of
   :meth:`SigmaPiOde.rhs`: a sum from ``0.0`` of coefficient times
   product from ``1.0`` of its factors, a constant term c alone (c*1.0 is
-  c exactly); a jet coefficient is Horner's rule on its coefficients, as
-  :meth:`TimeJet.__call__` evaluates it.  A factor x^1 is written as x,
+  c exactly); a polynomial coefficient is Horner's rule on its
+  coefficients at u = t - center, as :func:`~spquad.sigmapi.horner`
+  evaluates it.  A factor x^1 is written as x,
   any other as ``pow(x, v)`` (``math.pow``) for x > 0 and a call of
   ``real_pow`` otherwise.  Both give the bits of ``real_pow``, which
   returns ``math.pow(x, v)`` for x > 0 and raises the same errors for
   other bases; x^1 differs from it only at x = -0.0, and the leading
   ``0.0 +`` of the sum erases the sign of a zero term.  A system with
   more than :data:`_NEST` terms in an equation, factors in a term or
-  coefficients in a jet calls its own ``rhs`` instead, which does the
+  coefficients in a polynomial calls its own ``rhs`` instead, which does the
   same operations: CPython refuses to compile an expression nested a few
   thousand operations deep or inside more than 200 parentheses;
 * for a constant frame of dimension m <= :data:`D`, inlined as
@@ -36,14 +37,14 @@ loop.  Each stage's right-hand side is
 The source holds no number of the model, and no text of the input: only
 fixed names, operators and the literals ``0.0``, ``0.5``, ``1.0``,
 ``2.0`` and ``6.0`` of RK4 and the sums.  Every number of the model (an
-entry of V, a coefficient, an exponent and its exact rational, a jet
-coefficient or center) is read from the argument ``R`` into a local
+entry of V, a coefficient, an exponent and its exact rational, a
+polynomial coefficient or the system's center) is read from the argument ``R`` into a local
 ``r<position>``, and a local float is the same operand as a literal of
 the same double, so the operations and their bits do not change.
 Everything else the loop needs (the called right-hand side, the times
 and the states array it writes into) is an argument too.  The source thus
 depends on the model's shape alone: its dimension, which factors are
-x^1, its term and jet structure, and whether the stages are inlined or
+x^1, its term and polynomial structure, and whether the stages are inlined or
 called.  Loops are cached per shape, for the 32 shapes last used, since
 compiling is most of the cost of generating (about 0.3 ms for
 ``affine.spode``, 0.7 ms for ``five_monomials.spode`` and 2.5 ms for a
@@ -124,24 +125,22 @@ def _frame_rows(m: int) -> list[str]:
 
 
 def _inlined(ode: SigmaPiOde) -> bool:
-    """Whether no equation, term or jet of ``ode`` has more than
+    """Whether no equation, term or polynomial of ``ode`` has more than
     :data:`_NEST` terms, factors or coefficients."""
     return all(len(terms) <= _NEST
                and all(len(powers) <= _NEST
-                       and (type(coeff) is float or len(coeff.coeffs) <= _NEST)
+                       and (type(coeff) is float or len(coeff) <= _NEST)
                        for coeff, powers in terms)
                for terms in ode._terms)
 
 
-def _sigma_pi_rows(ode: SigmaPiOde, values: list,
-                   centers: dict) -> list[str]:
+def _sigma_pi_rows(ode: SigmaPiOde, values: list) -> list[str]:
     """:meth:`SigmaPiOde.rhs` written out from the same terms in their
     order, as templates like :func:`_frame_rows`.  Appends each number it
     reads to ``values`` (read as ``r<position>``): the exponent and exact
     rational of each power other than x^1, then the coefficient, or a
-    jet's coefficients for Horner's rule as :meth:`TimeJet.__call__`
-    evaluates it.  Numbers the jet centers in ``centers`` (t - center is
-    read as ``u<number>``)."""
+    polynomial's coefficients for Horner's rule as
+    :func:`~spquad.sigmapi.horner` evaluates it at ``u`` = t - center."""
     def r(value) -> str:
         values.append(value)
         return f"r{len(values) - 1}"
@@ -164,10 +163,9 @@ def _sigma_pi_rows(ode: SigmaPiOde, values: list,
             if type(coeff) is float:
                 coeff = r(coeff)
             else:
-                u = f"u{centers.setdefault(coeff.center, len(centers))}"
                 horner = "0.0"
-                for c in coeff.coeffs[::-1].tolist():
-                    horner = f"({horner})*{u} + {r(c)}"
+                for c in reversed(coeff):
+                    horner = f"({horner})*u + {r(c)}"
                 coeff = f"({horner})"
             acc += f" + {coeff}*({product})"
         rows.append(acc)
@@ -186,13 +184,13 @@ def _tree_sum(items: list[str]) -> str:
     return f"({_tree_sum(items[:mid])}) + ({_tree_sum(items[mid:])})"
 
 
-def _loop_source(m: int, rows: tuple[str, ...] | None,
-                 centers: tuple[str, ...], n_values: int) -> str:
+def _loop_source(m: int, rows: tuple[str, ...] | None, center: str | None,
+                 n_values: int) -> str:
     """Source of the whole RK4 loop of an m-dimensional model whose stage
     right-hand sides are ``rows`` (None: each stage calls ``F(t, state)``),
-    reading t - center for each center name in ``centers`` and the
+    reading ``u`` = t - ``center`` when a center name is given and the
     ``n_values`` numbers ``R`` of the model."""
-    timed = rows is None or bool(centers)
+    timed = rows is None or center is not None
 
     def names(c: str, n: int = m) -> list[str]:
         return [f"{c}{j}" for j in range(n)]
@@ -204,7 +202,7 @@ def _loop_source(m: int, rows: tuple[str, ...] | None,
         if rows is None:
             return [f"{listed(names(out))} = "
                     f"F({t}, {listed(names(state))}).tolist()"]
-        return ([f"u{c} = {t} - {center}" for c, center in enumerate(centers)]
+        return (([f"u = {t} - {center}"] if center else [])
                 + [f"{out}{i} = {row.format(*names(state))}"
                    for i, row in enumerate(rows)])
 
@@ -244,19 +242,21 @@ def _loop_spec(rhs, called: bool) -> tuple[tuple, list]:
     """The arguments of :func:`_loop_source` for ``rhs``, texts and counts
     that hold its shape and no number of it, and the numbers ``R`` the loop
     reads; when ``called`` the stages call a right-hand side."""
-    values, centers = [], {}
+    values, center = [], None
     spode = isinstance(rhs, SigmaPiOde)
     m = rhs.n if spode else rhs.dim
     if called:
         rows = None
     elif spode:
-        rows = tuple(_sigma_pi_rows(rhs, values, centers))
+        rows = tuple(_sigma_pi_rows(rhs, values))
+        if any(type(coeff) is tuple for terms in rhs._terms
+               for coeff, _ in terms):
+            center = f"r{len(values)}"
+            values.append(rhs.center)
     else:
         rows = tuple(_frame_rows(m))
         values = rhs.coeffs[0].ravel().tolist()
-    names = tuple(f"r{len(values) + c}" for c in range(len(centers)))
-    values += list(centers)
-    return (m, rows, names, len(values)), values
+    return (m, rows, center, len(values)), values
 
 
 def _overflowed(t) -> Blowup:

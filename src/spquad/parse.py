@@ -21,7 +21,9 @@ Frames are whitespace/comma separated square matrices of NUMBER or
 ``poly(...)`` entries, one row per line.
 
 Serialization is canonical: reals print as shortest round-trip decimals and
-``parse(serialize(x))`` reproduces the data model exactly.
+``parse(serialize(x))`` reproduces the data model exactly.  The grammar
+writes time polynomials in powers of t, so a system or frame whose center
+is not 0 raises ValueError instead of printing as another one.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from fractions import Fraction
 
 from .errors import (BadExponent, DuplicateEquation, NonSquare,
                      OdeSyntaxError)
-from .jets import TimeJet, coefficient_lists
-from .quadratize import QuadraticFrame
+from .quadratize import QuadraticFrame, coefficient_lists
 from .sigmapi import Monomial, SigmaPiOde
 
 
@@ -200,7 +201,7 @@ class _LineParser:
             return idx, self.parse_exponent()
         return idx, Fraction(1)
 
-    def parse_term(self) -> tuple[TimeJet, Monomial, bool]:
+    def parse_term(self) -> tuple[list[float], Monomial, bool]:
         """Returns (coefficient, monomial, was the bare literal 0)."""
         self.skip_ws()
         start = self.pos
@@ -208,10 +209,10 @@ class _LineParser:
         bare_zero = False
         exps: dict[int, object] = {}
         if self.text.startswith("poly(", self.pos):
-            coeff = TimeJet(self.parse_poly())
+            coeff = self.parse_poly()
         elif self.peek().isdigit() or self.peek() == ".":
             value, _, raw = self.read_unsigned_number()
-            coeff = TimeJet.constant(value)
+            coeff = [value]
             bare_zero = value == 0.0 and raw in ("0", "0.0")
         elif self.peek() == "x":
             idx, p = self.parse_factor()
@@ -228,7 +229,7 @@ class _LineParser:
             bare_zero = False
             self.skip_ws()
         if coeff is None:
-            coeff = TimeJet.constant(1.0)
+            coeff = [1.0]
         return coeff, Monomial(exps), bare_zero
 
     @staticmethod
@@ -282,7 +283,7 @@ def _parse_line(parser: _LineParser):
     negate_first = parser.match("-")
     coeff, mono, bare_zero = parser.parse_term()
     if negate_first:
-        coeff = -coeff
+        coeff = [-c for c in coeff]
         bare_zero = False
     terms = [(coeff, mono)]
     parser.skip_ws()
@@ -294,7 +295,7 @@ def _parse_line(parser: _LineParser):
         else:
             parser.fail("expected '+', '-' or end of line")
         coeff, mono, _ = parser.parse_term()
-        terms.append((coeff if sign > 0 else -coeff, mono))
+        terms.append((coeff if sign > 0 else [-c for c in coeff], mono))
         bare_zero = False
         parser.skip_ws()
     if bare_zero:
@@ -335,14 +336,21 @@ def monomial_text(mono: Monomial) -> str:
     return "*".join(_monomial_text(mono)) or "1"
 
 
-def _jet_text(coeffs) -> str:
+def _coeff_text(coeffs) -> str:
     if len(coeffs) == 1:
         return _num(coeffs[0])
     return "poly(" + ",".join(_num(c) for c in coeffs) + ")"
 
 
+def _check_center(center: float) -> None:
+    if center != 0.0:
+        raise ValueError(f"the text format has no center, so center "
+                         f"{center!r} cannot be written")
+
+
 def serialize_ode(ode: SigmaPiOde) -> str:
     """Canonical text; parse(serialize(ode)) is structurally identical."""
+    _check_center(ode.center)
     lines = []
     for i in range(1, ode.n + 1):
         terms = ode.terms(i)
@@ -350,16 +358,16 @@ def serialize_ode(ode: SigmaPiOde) -> str:
             lines.append(f"x{i}' = 0")
             continue
         if (len(terms) == 1 and not terms[0][1].indices()
-                and terms[0][0].is_constant() and terms[0][0].is_zero()):
+                and terms[0][0] == (0.0,)):
             # a kept zero constant term must not read back as the zero equation
             lines.append(f"x{i}' = poly(0.0)")
             continue
         rendered = []
-        for jet, mono in terms:
+        for coeff, mono in terms:
             factors = _monomial_text(mono)
             negative = False
-            if jet.is_constant():
-                c = float(jet.coeffs[0])
+            if len(coeff) == 1:
+                c = coeff[0]
                 negative = c < 0.0
                 mag = abs(c)
                 if factors and mag == 1.0:
@@ -367,7 +375,7 @@ def serialize_ode(ode: SigmaPiOde) -> str:
                 else:
                     coeff_txt = _num(mag)
             else:
-                coeff_txt = _jet_text(jet.coeffs)
+                coeff_txt = _coeff_text(coeff)
             pieces = ([coeff_txt] if coeff_txt else []) + factors
             rendered.append((negative, "*".join(pieces)))
         first_neg, first_body = rendered[0]
@@ -416,5 +424,6 @@ def parse_frame(text: str) -> QuadraticFrame:
 
 
 def serialize_frame(frame: QuadraticFrame) -> str:
-    return "\n".join(" ".join(_jet_text(c) for c in row)
+    _check_center(frame.center)
+    return "\n".join(" ".join(_coeff_text(c) for c in row)
                      for row in coefficient_lists(frame.coeffs)) + "\n"

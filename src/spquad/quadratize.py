@@ -25,8 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Blowup, EmptySystem
-from .jets import TimeJet, coefficient_lists, jet_repr
-from .sigmapi import Monomial, SigmaPiOde
+from .sigmapi import Monomial, SigmaPiOde, time_coefficient, trimmed
 
 
 class QuadraticFrame:
@@ -34,27 +33,21 @@ class QuadraticFrame:
 
     ``coeffs[l, i, j]`` is the read-only coefficient of (t - center)**l in
     entry (i+1, j+1), with -0.0 stored as 0.0 and no trailing all-zero
-    layer.  Rows of numbers and jets take the center of their non-constant
-    jets, which must share one, else that of the first entry (0.0 for a
-    number).
+    layer.  Each entry of ``rows`` is a number or a sequence of the
+    coefficients of the powers of t - ``center``.
     """
 
     __slots__ = ("coeffs", "center")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        rows = [list(row) for row in rows]
+    def __init__(self, rows: Sequence[Sequence], center: float = 0.0):
+        rows = [[time_coefficient(e) for e in row] for row in rows]
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("frame must be square")
-        entries = [e for row in rows for e in row]
-        orders = [e.order for e in entries if isinstance(e, TimeJet)]
-        coeffs = np.zeros((max(orders, default=0) + 1, len(rows), len(rows)))
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if isinstance(e, TimeJet):
-                    coeffs[:e.order + 1, i, j] = e.coeffs
-                else:
-                    coeffs[0, i, j] = e
-        self._fill(coeffs, _center(entries))
+        layers = max((len(e) for row in rows for e in row), default=1)
+        coeffs = [[[e[l] if l < len(e) else 0.0 for e in row] for row in rows]
+                  for l in range(layers)]
+        self._fill(np.reshape(coeffs, (layers, len(rows), len(rows))),
+                   float(center))
 
     @classmethod
     def _from_coeffs(cls, coeffs, center: float) -> "QuadraticFrame":
@@ -77,10 +70,6 @@ class QuadraticFrame:
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    def jet(self, i: int, j: int) -> TimeJet:
-        """Entry v_{i,j} (1-based)."""
-        return TimeJet(self.coeffs[:, i - 1, j - 1], self.center)
-
     @property
     def is_stationary(self) -> bool:
         return len(self.coeffs) == 1
@@ -91,8 +80,9 @@ class QuadraticFrame:
         return self.coeffs[0].copy()
 
     def evaluate(self, t: float) -> np.ndarray:
-        """V(t) by Horner's rule; for finite t each entry equals its
-        jet(t) bit for bit.  Overflow gives inf without a warning."""
+        """V(t) by Horner's rule; for finite t each entry equals
+        :func:`~spquad.sigmapi.horner` of its coefficients at t - center bit
+        for bit.  Overflow gives inf without a warning."""
         u = float(t) - self.center
         acc = np.zeros((self.dim, self.dim))
         with np.errstate(over="ignore"):
@@ -105,9 +95,15 @@ class QuadraticFrame:
         return (self.evaluate(t) @ xv) * xv
 
     def ref(self) -> str:
-        """Stable short identifier derived from the frame contents."""
-        text = ";".join(",".join(jet_repr(c, self.center) for c in row)
-                        for row in coefficient_lists(self.coeffs))
+        """Stable short identifier derived from the frame contents: the
+        SHA-1 prefix of a fixed text of each entry's coefficients and the
+        center (left out at 0.0).  The text, its literal prefix included,
+        must not change, or every published ref would."""
+        ctr = "" if self.center == 0.0 else f", center={self.center!r}"
+        text = ";".join(
+            ",".join("TimeJet([" + ",".join(map(repr, c)) + f"]{ctr})"
+                     for c in row)
+            for row in coefficient_lists(self.coeffs))
         return hashlib.sha1(text.encode()).hexdigest()[:12]
 
     def __eq__(self, other):
@@ -123,16 +119,11 @@ class QuadraticFrame:
         return f"QuadraticFrame(dim={self.dim}, ref={self.ref()})"
 
 
-def _center(entries: Sequence) -> float:
-    """The center of a frame built from ``entries``, numbers and jets with
-    entry (1, 1) first, by the rule :class:`QuadraticFrame` states."""
-    centers = [e.center for e in entries
-               if isinstance(e, TimeJet) and not e.is_constant()]
-    if any(c != centers[0] for c in centers):
-        raise ValueError("frame entries must share one center")
-    first = entries[0] if entries else 0.0
-    centers.append(first.center if isinstance(first, TimeJet) else 0.0)
-    return centers[0]
+def coefficient_lists(coeffs: np.ndarray) -> list[list[list[float]]]:
+    """The entries of an ``(L+1, m, m)`` coefficient array as m rows of m
+    coefficient lists, each trimmed as a system's coefficients are."""
+    return [[trimmed(c) for c in row]
+            for row in coeffs.transpose(1, 2, 0).tolist()]
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,9 @@ def quadratize_inclusive(ode: SigmaPiOde) -> Quadratization:
     for i in range(1, ode.n + 1):
         terms = list(ode.terms(i))
         if not any(mono == square[i] for _, mono in terms):
-            terms.append((TimeJet.zero(), square[i]))
+            terms.append((0.0, square[i]))
         equations.append(terms)
-    augmented = SigmaPiOde(ode.n, equations)
+    augmented = SigmaPiOde(ode.n, equations, ode.center)
     q = quadratize_canonical(augmented)
     identity = {}
     for i in range(1, augmented.n + 1):
@@ -258,8 +249,8 @@ def add_fictitious_monomial(ode: SigmaPiOde, host: int, q: Monomial) -> SigmaPiO
     if q.max_index() > ode.n:
         raise ValueError("fictitious monomial references unknown index")
     equations = [list(ode.terms(i)) for i in range(1, ode.n + 1)]
-    equations[host - 1].append((TimeJet.zero(), q))
-    return SigmaPiOde(ode.n, equations)
+    equations[host - 1].append((0.0, q))
+    return SigmaPiOde(ode.n, equations, ode.center)
 
 
 def inverse_driver(ode: SigmaPiOde) -> Quadratization:
@@ -285,19 +276,16 @@ def driver_frame(q: Quadratization) -> QuadraticFrame:
     see :func:`inverse_joint_frame` for a simulatable system).
     """
     sign = -1.0 if q.inverse else 1.0
-    jets = [q.source.terms(j)[s - 1][0] for (j, s) in q.pairs]
+    v = [q.source.terms(j)[s - 1][0] for (j, s) in q.pairs]
     pi = np.array([[q.pi[i - 1][l - 1].get(j, 0.0) for (j, _) in q.pairs]
                    for (i, l) in q.pairs])
-    columns = np.zeros((max(jet.order for jet in jets) + 1, len(jets)))
-    for c, jet in enumerate(jets):
-        columns[:jet.order + 1, c] = jet.coeffs
+    columns = np.zeros((max(map(len, v)), len(v)))
+    for c, coeff in enumerate(v):
+        columns[:len(coeff), c] = coeff
     rows, cols = np.nonzero(pi)
-    coeffs = np.zeros((len(columns), len(jets), len(jets)))
+    coeffs = np.zeros((len(columns), len(v), len(v)))
     coeffs[:, rows, cols] = sign * pi[rows, cols] * columns[:, cols]
-    # entry (1, 1), whose center a constant frame takes, then the jets in use
-    first = jets[0] if pi[0, 0] != 0.0 else 0.0
-    return QuadraticFrame._from_coeffs(coeffs, _center(
-        [first] + [jets[c] for c in sorted(set(cols.tolist()))]))
+    return QuadraticFrame._from_coeffs(coeffs, q.source.center)
 
 
 def inverse_joint_frame(q: Quadratization) -> QuadraticFrame:
@@ -350,6 +338,6 @@ def driver_type_ode(frame: QuadraticFrame) -> SigmaPiOde:
         terms = []
         for l in range(1, n + 1):
             exps = {i: 1, l: 1} if l != i else {i: 2}
-            terms.append((frame.jet(i, l), Monomial(exps)))
+            terms.append((frame.coeffs[:, i - 1, l - 1], Monomial(exps)))
         equations.append(terms)
-    return SigmaPiOde(n, equations)
+    return SigmaPiOde(n, equations, frame.center)

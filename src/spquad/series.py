@@ -7,9 +7,9 @@ a_k = x^{(k)}(t0) / k! of the whole state:
     a_0 = x0
     (k+1) a_{k+1,i} = sum_{j<=k} y_{j,i} a_{k-j,i},   y_j = sum_{l<=j} W_l a_{j-l}
 
-where W_l = V^{(l)}(t0) / l! are the frame jets re-expanded at t0, read
+where W_l = V^{(l)}(t0) / l! are the frame's time polynomials re-expanded at t0, read
 from the frame's coefficient array ``frame.coeffs``.  It costs
-O(K^2 m + K L m^2) for order K, dimension m and jet degree L, and serves
+O(K^2 m + K L m^2) for order K, dimension m and polynomial degree L, and serves
 constant and time-dependent frames alike, and is the one that
 :func:`taylor` runs.
 
@@ -51,8 +51,8 @@ import numpy as np
 
 from .errors import (Divergence, DomainExit, OutOfRadius, StepLimit,
                      ZeroComponent)
-from .jets import TimeJet
 from .quadratize import QuadraticFrame
+from .sigmapi import horner
 
 MAX_ORDER = 170  # float factorials overflow beyond this
 TAIL_EPS = 1e-16  # relative size of the last kept terms the tail step aims at
@@ -110,19 +110,21 @@ class IndexMultiset:
         return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTensor:
     """Aggregated recursion coefficients for one root index, built to
     ``order``.
 
-    ``layers[(k, s)]`` maps tail multisets to jets holding the sum of
-    v^{k,s} over all orderings of the tail.  Stationary frames populate
-    only the diagonal layers (k, k).
+    ``layers[(k, s)]`` maps tail multisets to the coefficient array, in
+    powers of t - ``center``, of the sum of v^{k,s} over all orderings of
+    the tail.  Stationary frames populate only the diagonal layers (k, k).
+    Tensors compare by identity: numpy arrays have no one truth value.
     """
 
     root: int
-    layers: dict[tuple[int, int], dict[IndexMultiset, TimeJet]]
+    layers: dict[tuple[int, int], dict[IndexMultiset, np.ndarray]]
     order: int
+    center: float = 0.0
 
     def coefficients(self, x0, t0: float, K: int) -> np.ndarray:
         """c_0 .. c_K of the root component at center t0 from the full
@@ -133,14 +135,15 @@ class CoefficientTensor:
             raise ValueError(f"the tensor was built to order {self.order}, "
                              f"not {K}")
         x0 = np.asarray(x0, dtype=float)
+        u = float(t0) - self.center
         c = np.zeros(K + 1)
         c[0] = x0[self.root - 1]
         for k in range(1, K + 1):
             acc = 0.0
             for s in range(2, k + 2):
-                for key, jet in self.layers.get((k + 1, s), {}).items():
-                    acc += jet(t0) * math.prod(x0[j - 1] ** m
-                                               for j, m in key.pairs)
+                for key, p in self.layers.get((k + 1, s), {}).items():
+                    acc += horner(p, u) * math.prod(x0[j - 1] ** m
+                                                    for j, m in key.pairs)
             c[k] = c[0] * acc
         return c
 
@@ -202,7 +205,7 @@ def _mset_from_counts(root: int, counts, cols: tuple[int, ...]) -> IndexMultiset
 # --------------------------------------------------------------------------
 
 def _shifted_jets(frame: QuadraticFrame, t0: float, K: int) -> np.ndarray:
-    """W[l] = V^{(l)}(t0) / l! for l < K, up to the jet degree."""
+    """W[l] = V^{(l)}(t0) / l! for l < K, up to the polynomial degree."""
     deg = len(frame.coeffs) - 1
     u = float(t0) - frame.center
     T = np.array([[math.comb(n, l) * _power(u, n - l) if n >= l else 0.0
@@ -271,8 +274,8 @@ def coefficient_tensors(frame: QuadraticFrame, K: int,
     """The paper's layered recursion up to order K: one
     :class:`CoefficientTensor` per component, from the frame alone.  Each
     layer maps a tail's counts over the support to the coefficients of its
-    entry in powers of t - center, which become jets only on return, so one
-    build serves every initial point and center.  The cost grows like
+    entry in powers of t - center, so one build serves every initial point
+    and center.  The cost grows like
     C(K + sigma, sigma) in the support size sigma."""
     comps = _check_order(frame, K, components)
     cols, _ = support(frame)
@@ -293,15 +296,15 @@ def coefficient_tensors(frame: QuadraticFrame, K: int,
                 layers[(k + 1, s)] = _kept(merged)
             layers[(k + 1, 2)] = _derive(layers[(k, 2)])
         tensors[i] = CoefficientTensor(i, {
-            ks: {_mset_from_counts(i, counts, cols): TimeJet(p, frame.center)
+            ks: {_mset_from_counts(i, counts, cols): p
                  for counts, p in layer.items()}
-            for ks, layer in layers.items() if layer}, K)
+            for ks, layer in layers.items() if layer}, K, frame.center)
     return tensors
 
 
 def taylor(frame: QuadraticFrame, x0, t0: float, K: int,
            components: Iterable[int] | None = None) -> SeriesSolution:
-    """Series coefficients for an arbitrary (constant or time-jet) frame,
+    """Series coefficients for an arbitrary (constant or time-dependent) frame,
     from the Cauchy-product recursion.  An x0 that is not one finite value
     per component raises ValueError.
     """
@@ -396,7 +399,8 @@ def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
     ``t`` is one time or an array of times.  Returns (values, truncation
     estimate), both of shape ``np.shape(t) + (len(series.components),)``,
     the estimate being the magnitude of the last kept term, where a power
-    |t - t0|^K beyond the float range counts as inf.  A scalar ``t`` runs
+    |t - t0|^K beyond the float range counts as inf and a zero last
+    coefficient gives 0.0 at every time.  A scalar ``t`` runs
     as an array of shape (), so the array form equals the stacked scalar
     calls bit for bit.  Warns once when any time lies outside the radius
     bound.
@@ -415,16 +419,17 @@ def evaluate(series: SeriesSolution, t) -> tuple[np.ndarray, np.ndarray]:
         vals = np.zeros(np.shape(u)[:-1] + a.shape[:1])
         for k in range(K, -1, -1):
             vals = vals * u + a[:, k]
-        err = np.abs(a[:, K] * u_K)
+        err = np.where(a[:, K] == 0.0, 0.0, np.abs(a[:, K] * u_K))
     return vals, err
 
 
 def _horner(rows: list[list[float]], u: float,
             K: int) -> tuple[list[float], list[float]]:
-    """Values sum_k a_k u^k and estimates |a_K u^K| of rows of normalized
-    coefficients a_0 .. a_K at one offset u, on Python floats.  Each step
-    is the multiply and the add that the array loop of :func:`evaluate`
-    makes per element, so both give the same bits."""
+    """Values sum_k a_k u^k and estimates |a_K u^K| (0.0 where a_K is 0)
+    of rows of normalized coefficients a_0 .. a_K at one offset u, on
+    Python floats.  Each step is the multiply and the add that the array
+    loop of :func:`evaluate` makes per element, so both give the same
+    bits."""
     u_K = _power(u, K)
     vals = []
     for row in rows:
@@ -432,7 +437,7 @@ def _horner(rows: list[list[float]], u: float,
         for c in reversed(row):
             v = v * u + c
         vals.append(v)
-    return vals, [abs(row[K] * u_K) for row in rows]
+    return vals, [abs(row[K] * u_K) if row[K] else 0.0 for row in rows]
 
 
 def _tail_step(a: np.ndarray, x) -> float:
@@ -534,9 +539,8 @@ def continue_to(frame: QuadraticFrame, x0, t0: float, t_target: float,
                     f"step size underflowed the time resolution near t = {t}")
             vals, err = _horner(rows, float(t_new - t), K)
             if all(map(math.isfinite, vals)):
-                rel = [e / max(abs(v), 1e-300) for v, e in zip(vals, err)]
-                # as np.max of them: one NaN ratio makes it NaN, which passes
-                if any(map(math.isnan, rel)) or not max(rel) > tail_tol:
+                if max(e / max(abs(v), 1e-300)
+                       for v, e in zip(vals, err)) <= tail_tol:
                     break
             step *= 0.5
         else:

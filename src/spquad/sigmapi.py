@@ -25,7 +25,33 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainViolation, InvalidProjection
-from .jets import TimeJet
+
+
+def trimmed(coeffs: list) -> list:
+    """``coeffs`` without its trailing zeros; the first one is kept."""
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0.0:
+        n -= 1
+    return coeffs[:n]
+
+
+def time_coefficient(value) -> tuple[float, ...]:
+    """A number or a sequence (c0, ..., cM) of the powers of t - center as
+    the tuple of floats a system stores: -0.0 folded to 0.0 and trailing
+    zeros trimmed, so equality and zero tests are canonical."""
+    if isinstance(value, (int, float)):   # a constant, without numpy
+        return (float(value) + 0.0,)
+    coeffs = (np.asarray(value, dtype=float).reshape(-1) + 0.0).tolist()
+    return tuple(trimmed(coeffs)) or (0.0,)
+
+
+def horner(coeffs, u: float) -> float:
+    """c0 + c1*u + ... + cM*u**M by Horner's rule, from 0.0 and the highest
+    power down: the one evaluation of a time coefficient."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
 
 
 def real_pow(base: float, value: float, rational: Fraction | None = None) -> float:
@@ -159,19 +185,24 @@ class SigmaPiOde:
     """A generalized-polynomial ODE: per-equation lists of (coefficient, monomial).
 
     ``equations[i]`` (0-based list position for equation i+1) is an ordered
-    tuple of ``(TimeJet, Monomial)`` pairs; an empty tuple encodes the zero
-    equation.  ``n == 0`` is allowed and represents the fully projected zero
-    system produced by the decomposition cascade.
+    tuple of ``(coefficient, Monomial)`` pairs; an empty tuple encodes the
+    zero equation.  A coefficient is the tuple (c0, ..., cM) of the time
+    polynomial c0 + c1*(t - center) + ... + cM*(t - center)**M, as
+    :func:`time_coefficient` stores it; every term shares the system's one
+    ``center``.  The constructor takes a number or a sequence of numbers
+    per coefficient.  ``n == 0`` is allowed and represents the fully
+    projected zero system produced by the decomposition cascade.
 
     :meth:`rhs` and the RK4 loop that :func:`~spquad.oracle.rk4`
     generates read a form built once, at construction: per term the
-    coefficient (a float when constant, else its jet) and the monomial's
+    coefficient (a float when constant, else its tuple) and the monomial's
     ``(0-based index, exponent, exact rational or None)`` factors.
     """
 
-    __slots__ = ("n", "equations", "_terms")
+    __slots__ = ("n", "equations", "center", "_terms")
 
-    def __init__(self, n: int, equations: Sequence[Sequence] = ()):
+    def __init__(self, n: int, equations: Sequence[Sequence] = (),
+                 center: float = 0.0):
         n = int(n)
         if n < 0:
             raise ValueError("n must be >= 0")
@@ -180,24 +211,23 @@ class SigmaPiOde:
             row = equations[i] if i < len(equations) else ()
             terms = []
             for coeff, mono in row:
-                jet = (coeff if isinstance(coeff, TimeJet)
-                       else TimeJet.constant(coeff))
                 if not isinstance(mono, Monomial):
                     mono = Monomial(mono)
                 if mono.max_index() > n:
                     raise ValueError(
                         f"equation {i + 1} references x{mono.max_index()} "
                         f"but n = {n}")
-                terms.append((jet, mono))
+                terms.append((time_coefficient(coeff), mono))
             eqs.append(tuple(terms))
         if len(equations) > n:
             raise ValueError("more equations than indeterminates")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "equations", tuple(eqs))
+        object.__setattr__(self, "center", float(center))
         object.__setattr__(self, "_terms", tuple(
-            tuple((float(jet.coeffs[0]) if jet.is_constant() else jet,
+            tuple((coeff[0] if len(coeff) == 1 else coeff,
                    tuple((j - 1, value, rat) for j, value, rat in mono.items()))
-                  for jet, mono in eq)
+                  for coeff, mono in eq)
             for eq in eqs))
 
     def __setattr__(self, name, value):
@@ -217,6 +247,7 @@ class SigmaPiOde:
     def rhs(self, t: float, x: Sequence[float]) -> np.ndarray:
         """Evaluate the right-hand side at (t, x), summing terms in order."""
         xs = np.asarray(x, dtype=float).tolist()
+        u = float(t) - self.center
         out = []
         for terms in self._terms:
             acc = 0.0
@@ -225,17 +256,18 @@ class SigmaPiOde:
                 for j, value, rat in powers:
                     mono *= real_pow(xs[j], value, rat)
                 acc += (coeff if type(coeff) is float
-                        else float(coeff(t))) * mono
+                        else horner(coeff, u)) * mono
             out.append(acc)
         return np.array(out)
 
     def __eq__(self, other):
         if not isinstance(other, SigmaPiOde):
             return NotImplemented
-        return self.n == other.n and self.equations == other.equations
+        return (self.n == other.n and self.center == other.center
+                and self.equations == other.equations)
 
     def __hash__(self):
-        return hash((self.n, self.equations))
+        return hash((self.n, self.center, self.equations))
 
     def __repr__(self):
         return f"SigmaPiOde(n={self.n}, nu={[len(e) for e in self.equations]})"
@@ -371,8 +403,8 @@ def _structure(ode: SigmaPiOde, classes: list[DomainClass]) -> StructureReport:
     sing = set()
     for j in crit:
         ok = True
-        for jet, mono in ode.terms(j):
-            if jet.is_zero():
+        for coeff, mono in ode.terms(j):
+            if not any(coeff):
                 continue
             if mono.exponent(j) > 0.0:
                 continue
@@ -400,7 +432,7 @@ def project(ode: SigmaPiOde, drop: Iterable[int]) -> tuple[SigmaPiOde, dict[int,
     equations = []
     for old in keep:
         terms = []
-        for jet, mono in ode.terms(old):
+        for coeff, mono in ode.terms(old):
             vanishes = False
             new_exps: dict[int, object] = {}
             for j, value, rat in mono.items():
@@ -413,9 +445,9 @@ def project(ode: SigmaPiOde, drop: Iterable[int]) -> tuple[SigmaPiOde, dict[int,
                     break
                 new_exps[renumber[j]] = rat if rat is not None else value
             if not vanishes:
-                terms.append((jet, Monomial(new_exps)))
+                terms.append((coeff, Monomial(new_exps)))
         equations.append(terms)
-    return SigmaPiOde(len(keep), equations), renumber
+    return SigmaPiOde(len(keep), equations, ode.center), renumber
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import spquad as sq
 def exdom_ode() -> sq.SigmaPiOde:
     """3-equation system with a nonzero, an unrestricted and a positive index."""
     return sq.SigmaPiOde(3, [
-        [(1.0, {2: F(1, 3), 3: 1}), (sq.TimeJet([0.0, 2.0]), {2: 1, 1: F(-1, 5)})],
+        [(1.0, {2: F(1, 3), 3: 1}), ((0.0, 2.0), {2: 1, 1: F(-1, 5)})],
         [(6.0, {1: 1, 2: 5, 3: 1})],
         [(3.0, {1: -8, 2: 1}), (4.0, {}), (1.0, {3: F(1, 2)}),
          (-1.5, {1: 1, 3: 1})],
@@ -30,7 +30,7 @@ def exdom_variant() -> sq.SigmaPiOde:
     singular part)."""
     base = exdom_ode()
     eqs = [list(base.terms(i)) for i in range(1, 4)]
-    eqs[1].append((sq.TimeJet.constant(1.0), sq.Monomial({1: 1})))
+    eqs[1].append((1.0, sq.Monomial({1: 1})))
     return sq.SigmaPiOde(3, eqs)
 
 
@@ -55,7 +55,7 @@ def five_monomial_ode() -> sq.SigmaPiOde:
 def airy_first_order() -> sq.SigmaPiOde:
     """x1' = t*x2, x2' = x1 (x1 the derivative, x2 the function)."""
     return sq.SigmaPiOde(2, [
-        [(sq.TimeJet([0.0, 1.0]), {2: 1})],
+        [((0.0, 1.0), {2: 1})],
         [(1.0, {1: 1})],
     ])
 
@@ -68,8 +68,8 @@ def airy_frame_expected() -> sq.QuadraticFrame:
     variant with (0, 1, -t, 0) there fails the reference-integration
     cross-check in test_quadratize.
     """
-    t = sq.TimeJet([0.0, 1.0])
-    mt = sq.TimeJet([0.0, -1.0])
+    t = (0.0, 1.0)
+    mt = (0.0, -1.0)
     return sq.QuadraticFrame([
         [0.0, 0.0, t, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -91,6 +91,24 @@ def airy_series(a0: float, a1: float, K: int) -> np.ndarray:
 # brute-force oracles
 # --------------------------------------------------------------------------
 
+def entry(frame: sq.QuadraticFrame, i: int, j: int) -> list[float]:
+    """Entry v_{i,j} (1-based) of a frame: the coefficients of its powers of
+    t - center, without trailing zeros (the first one kept)."""
+    coeffs = frame.coeffs[:, i - 1, j - 1].tolist()
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs.pop()
+    return coeffs
+
+
+def scalar_horner(coeffs, u: float) -> float:
+    """c0 + c1*u + ... + cM*u**M by Horner's rule on Python floats, from
+    0.0 and the highest power down."""
+    acc = 0.0
+    for c in reversed([float(c) for c in coeffs]):
+        acc = acc * u + c
+    return acc
+
+
 def ordered_string_ck(V: np.ndarray, x0: np.ndarray, i: int, k: int,
                       S: tuple[int, ...]) -> float:
     """c_k(i) for a constant frame by direct summation over all ordered
@@ -111,16 +129,15 @@ def ordered_string_ck(V: np.ndarray, x0: np.ndarray, i: int, k: int,
 def cauchy_exact(frame: sq.QuadraticFrame, x0, t0: float,
                  K: int) -> list[list[F]]:
     """Exact derivatives c[k][i] = x_i^{(k)}(t0) for a constant or
-    polynomial-jet frame, by the Cauchy-product recursion in rationals:
+    time-polynomial frame, by the Cauchy-product recursion in rationals:
     (k+1) a_{k+1,i} = sum_j y_{j,i} a_{k-j,i} with y_j = sum_l W_l a_{j-l},
     W_l the l-th Taylor coefficient of V at t0 and a_k = c_k / k!."""
     m = frame.dim
     W = [[[F(0)] * m for _ in range(m)] for _ in range(K)]
     for i in range(m):
         for j in range(m):
-            jet = frame.jet(i + 1, j + 1)
-            u = F(t0) - F(jet.center)
-            for n, c in enumerate(jet.coeffs):
+            u = F(t0) - F(frame.center)
+            for n, c in enumerate(frame.coeffs[:, i, j]):
                 for l in range(min(n + 1, K)):
                     W[l][i][j] += F(float(c)) * math.comb(n, l) * u ** (n - l)
     a = [[F(float(v)) for v in x0]]
@@ -168,9 +185,9 @@ def random_sigma_pi(rng: np.random.Generator, n_max: int = 4,
                     exps[j] = _EXPONENT_POOL[int(rng.integers(len(_EXPONENT_POOL)))]
             mag = rng.uniform(0.3, 1.0) * (1 if rng.random() < 0.5 else -1)
             if with_jets and rng.random() < 0.3:
-                coeff = sq.TimeJet([mag, rng.uniform(-0.5, 0.5)])
+                coeff = (mag, rng.uniform(-0.5, 0.5))
             else:
-                coeff = sq.TimeJet.constant(mag)
+                coeff = mag
             terms.append((coeff, sq.Monomial(exps)))
         equations.append(terms)
     return sq.SigmaPiOde(n, equations)
@@ -191,13 +208,13 @@ def random_text_ode(rng: np.random.Generator) -> sq.SigmaPiOde:
                     exps[j] = pool[int(rng.integers(len(pool)))]
             roll = rng.random()
             if roll < 0.25:
-                coeff = sq.TimeJet(rng.uniform(-2, 2, int(rng.integers(2, 4))))
+                coeff = rng.uniform(-2, 2, int(rng.integers(2, 4)))
             elif roll < 0.35:
-                coeff = sq.TimeJet.constant(0.0)
+                coeff = 0.0
             elif roll < 0.55:
-                coeff = sq.TimeJet.constant(float(rng.integers(-5, 6)) or 1.0)
+                coeff = float(rng.integers(-5, 6)) or 1.0
             else:
-                coeff = sq.TimeJet.constant(rng.uniform(-3, 3))
+                coeff = rng.uniform(-3, 3)
             terms.append((coeff, sq.Monomial(exps)))
         equations.append(terms)
     return sq.SigmaPiOde(n, equations)
@@ -215,8 +232,9 @@ def random_frame(rng: np.random.Generator, m_max: int = 3,
 def random_jet_frame(rng: np.random.Generator, m_max: int = 4,
                      center: float = 0.0,
                      m: int | None = None) -> sq.QuadraticFrame:
-    """Frame of jets of mixed degree 0..3 around ``center``: some entries
-    zero, some vanishing only at the center, and one zero column.  The
+    """Frame of time polynomials of mixed degree 0..3 around ``center``:
+    some entries zero, some vanishing only at the center, and one zero
+    column.  The
     dimension is ``m`` when given, else drawn from 1..m_max."""
     if m is None:
         m = int(rng.integers(1, m_max + 1))
@@ -231,13 +249,13 @@ def random_jet_frame(rng: np.random.Generator, m_max: int = 4,
                 coeffs = [0.0, rng.uniform(-1.0, 1.0)]
             else:
                 coeffs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 5)))
-            row.append(sq.TimeJet(coeffs, center))
+            row.append(coeffs)
         rows.append(row)
     if m > 1:
         col = int(rng.integers(m))
         for row in rows:
-            row[col] = sq.TimeJet.zero(center)
-    return sq.QuadraticFrame(rows)
+            row[col] = 0.0
+    return sq.QuadraticFrame(rows, center)
 
 
 def fixture_frame(path) -> sq.QuadraticFrame:

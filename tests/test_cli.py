@@ -224,6 +224,20 @@ def test_solve_quadratic_to_two(tmp_path, capsys):
     assert res["recenters"] >= 2
 
 
+def test_solve_where_one_estimate_overflows_keeps_halving(tmp_path, capsys):
+    """A constant component's zero last coefficient does not let the
+    overflowing estimate of the other pass: x2 reaches 100, not 26.77."""
+    p = tmp_path / "pole.frame"
+    p.write_text("0 0\n0 3e-11\n")
+    code, payload = run_json(capsys, [
+        "solve", str(p), "--to", "3.3e10", "--x0", "1,1", "--theta", "1",
+        "--format", "json"])
+    assert code == 0
+    value = payload["result"]["value"]
+    assert value["1"] == 1.0 and abs(value["2"] - 100.0) < 1e-5
+    assert payload["result"]["recenters"] > 1
+
+
 def test_solve_at_center_returns_x0(tmp_path, capsys):
     p = tmp_path / "quadratic.spode"
     p.write_text("x1' = x1^2\n")

@@ -21,7 +21,7 @@ from spquad.oracle import (D, _frame_rows, _loop, _loop_source, _loop_spec,
 from spquad.parse import parse_frame, parse_ode
 from spquad.series import RadiusWarning
 
-from support import random_jet_frame
+from support import random_jet_frame, scalar_horner
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -51,9 +51,32 @@ def test_rk4_backward_integration():
 
 
 def test_rk4_sigma_pi_rhs():
-    ode = sq.SigmaPiOde(1, [[(sq.TimeJet([0.0, 2.0]), {1: 1})]])  # x' = 2 t x
+    ode = sq.SigmaPiOde(1, [[((0.0, 2.0), {1: 1})]])  # x' = 2 t x
     traj = sq.rk4(ode, [1.0], 0.0, 0.7, 1e-4)
     assert abs(traj.states[-1][0] - np.exp(0.49)) < 1e-10
+
+
+def test_a_polynomial_coefficient_at_a_center_keeps_the_horner_bits():
+    """At center 0.7, SigmaPiOde.rhs, the generated RK4 loop and
+    CoefficientTensor.coefficients evaluate c(t) = 0.3 - 1.2 u + 0.45 u^2
+    + 2 u^3, u = t - 0.7, with the bits of Horner's rule on Python floats
+    from 0.0."""
+    c = (0.3, -1.2, 0.45, 2.0)
+    ode = sq.SigmaPiOde(1, [[(c, {1: 1})]], center=0.7)   # x' = c(t) x
+
+    def reference(t, x):
+        return np.array([0.0 + scalar_horner(c, t - 0.7) * (1.0 * x[0])])
+
+    for t in (0.0, 0.7, 1.3, -2.25, 5.0):
+        assert ode.rhs(t, [1.5]).tobytes() == reference(t, [1.5]).tobytes()
+    traj = sq.rk4(ode, [1.5], 0.0, 0.5, 0.01)
+    _, states, message = numpy_rk4(reference, [1.5], 0.0, 0.5, 0.01)
+    assert message is None and traj.states.tobytes() == states.tobytes()
+    tensor = sq.coefficient_tensors(sq.QuadraticFrame([[c]], center=0.7), 1)[1]
+    assert tensor.center == 0.7
+    for t0 in (0.0, 0.7, 1.3, -2.25, 5.0):
+        got = tensor.coefficients([1.0], t0, 1)[1]
+        assert float(got).hex() == scalar_horner(c, t0 - 0.7).hex()
 
 
 def test_rk4_order_four_convergence():
@@ -152,7 +175,7 @@ def jet_frame_model(m):
     rows = [[0.0] * m for _ in range(m)]
     rows[0][0] = 1.0
     for row in rows[1:]:
-        row[0] = sq.TimeJet([0.5, 0.25])
+        row[0] = (0.5, 0.25)
     frame = sq.QuadraticFrame(rows)
     return frame, frame.rhs, m
 
@@ -483,9 +506,9 @@ LOOP_NAMES = {
     "def", "for", "in", "if", "else", "try", "except", "as", "raise", "from",
     "pass",
     "loop", "R", "F", "X", "S", "ends", "steps", "last", "t0", "h", "landing",
-    "k", "dt", "half", "t", "th", "te", "sixth", "exc", "tolist",
+    "k", "dt", "half", "t", "th", "te", "u", "sixth", "exc", "tolist",
     "OverflowError", "pow", "real_pow", "overflowed", "nonfinite"}
-NUMBERED = re.compile(r"[xypkoru][0-9]+")
+NUMBERED = re.compile(r"[xypkor][0-9]+")
 
 
 def loop_sources():
@@ -619,9 +642,9 @@ def shape_runs():
         yield frame, frame.rhs, [0.5, 0.6, 0.7], new
     for coeffs, center, new in (([0.5, 0.25, -1.0], 0.0, 1),
                                 ([-2.0, 1e-300, 3.0], 0.75, 0)):
-        # x1' = c(t) x1 x2^(1/2), x2' = -x2 with c a jet, which is inlined
-        jet = sq.TimeJet(coeffs, center=center)
-        ode = sq.SigmaPiOde(2, [[(jet, {1: 1, 2: F(1, 2)})], [(-1.0, {2: 1})]])
+        # x1' = c(t) x1 x2^(1/2), x2' = -x2 with c a polynomial, inlined
+        ode = sq.SigmaPiOde(2, [[(coeffs, {1: 1, 2: F(1, 2)})],
+                                [(-1.0, {2: 1})]], center)
         yield ode, ode.rhs, [0.9, 0.4], new
     wide = np.linspace(-0.5, 0.5, 16).reshape(4, 4)
     yield sq.QuadraticFrame(wide.tolist()), row_sum_rhs(wide), \
@@ -671,7 +694,7 @@ def large_models():
         sq.SigmaPiOde(1, [[(1e-9, {1: F(k, 1000)}) for k in range(3000)]]),
         id="terms")
     yield pytest.param(
-        sq.SigmaPiOde(1, [[(sq.TimeJet([1e-3] * 250), {1: 1})]]), id="jet")
+        sq.SigmaPiOde(1, [[([1e-3] * 250, {1: 1})]]), id="jet")
     yield pytest.param(
         sq.SigmaPiOde(2500, [[(1e-3, {j: 1 for j in range(1, 2501)})]]),
         id="factors")

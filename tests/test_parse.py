@@ -19,8 +19,8 @@ def test_parse_worked_example_equation():
         "x1' = 1*x2^(1/3)*x3 + poly(0,2)*x2*x1^(-0.2)\n")
     assert ode.n == 3
     assert ode.nu(1) == 2 and ode.nu(2) == 0 and ode.nu(3) == 0
-    jet, mono = ode.terms(1)[1]
-    assert jet == sq.TimeJet([0.0, 2.0])
+    coeff, mono = ode.terms(1)[1]
+    assert coeff == (0.0, 2.0)
     assert mono.exponent(1) == pytest.approx(-0.2)
     assert mono.rational(1) is None            # decimal stays conservative
     assert ode.terms(1)[0][1].rational(2) == F(1, 3)
@@ -34,8 +34,8 @@ def test_parse_zero_equation():
 def test_parse_single_constant_coefficient_monomial():
     ode = sq.parse_ode("x1' = 3*x1^2")
     assert ode.nu(1) == 1
-    jet, mono = ode.terms(1)[0]
-    assert jet == sq.TimeJet.constant(3.0)
+    coeff, mono = ode.terms(1)[0]
+    assert coeff == (3.0,)
     assert mono.rational(1) == F(2)
 
 
@@ -47,14 +47,13 @@ def test_missing_equations_become_zero_equations():
 
 def test_signs_and_leading_minus():
     ode = sq.parse_ode("x1' = -2*x1 + 4 - x1^3")
-    jets = [jet for jet, _ in ode.terms(1)]
-    assert [j.coeffs[0] for j in jets] == [-2.0, 4.0, -1.0]
+    assert [coeff for coeff, _ in ode.terms(1)] == [(-2.0,), (4.0,), (-1.0,)]
 
 
 def test_zero_coefficient_term_is_kept():
     ode = sq.parse_ode("x1' = 0*x1^2")
     assert ode.nu(1) == 1
-    assert ode.terms(1)[0][0].is_zero()
+    assert ode.terms(1)[0][0] == (0.0,)
 
 
 def test_repeated_factor_exponents_merge():
@@ -131,8 +130,20 @@ def test_serialize_zero_system():
 
 
 def test_serialize_jet_coefficient():
-    ode = sq.SigmaPiOde(1, [[(sq.TimeJet([0.0, 2.0]), {1: 1})]])
+    ode = sq.SigmaPiOde(1, [[((0.0, 2.0), {1: 1})]])
     assert sq.serialize_ode(ode) == "x1' = poly(0.0,2.0)*x1\n"
+
+
+def test_serialize_refuses_a_center_the_text_cannot_hold():
+    """The grammar writes time polynomials in powers of t: a system or a
+    frame at another center raises instead of printing as another model."""
+    ode = sq.SigmaPiOde(1, [[((1.0, 2.0), {1: 1})]], center=0.5)
+    with pytest.raises(ValueError, match="center 0.5"):
+        sq.serialize_ode(ode)
+    with pytest.raises(ValueError, match="center 0.5"):
+        sq.serialize_frame(sq.QuadraticFrame([[(1.0, 2.0)]], center=0.5))
+    at_zero = sq.SigmaPiOde(1, [[((1.0, 2.0), {1: 1})]])
+    assert sq.parse_ode(sq.serialize_ode(at_zero)) == at_zero != ode
 
 
 def test_serialize_kept_zero_constant_term():
@@ -168,19 +179,19 @@ def test_round_trip_property():
 def test_parse_frame_with_jet_entry():
     frame = sq.parse_frame("0 poly(0,2)\n0 0\n")
     assert frame.dim == 2
-    assert frame.jet(1, 2) == sq.TimeJet([0.0, 2.0])
-    assert frame.jet(1, 1).is_zero()
+    assert frame.coeffs[:, 0, 1].tolist() == [0.0, 2.0]
+    assert not frame.coeffs[:, 0, 0].any()
 
 
 def test_parse_frame_single_zero():
     frame = sq.parse_frame("0\n")
-    assert frame.dim == 1 and frame.jet(1, 1).is_zero()
+    assert frame.dim == 1 and frame.coeffs.tolist() == [[[0.0]]]
 
 
 def test_parse_frame_commas_and_negatives():
     frame = sq.parse_frame("0, -1.5\n2, poly(1,-1)\n")
-    assert frame.jet(1, 2) == sq.TimeJet.constant(-1.5)
-    assert frame.jet(2, 2) == sq.TimeJet([1.0, -1.0])
+    assert frame.coeffs[:, 0, 1].tolist() == [-1.5, 0.0]
+    assert frame.coeffs[:, 1, 1].tolist() == [1.0, -1.0]
 
 
 def test_parse_frame_rejects_non_square():
@@ -208,9 +219,9 @@ def test_frame_round_trip():
             row = []
             for _ in range(m):
                 if rng.random() < 0.3:
-                    row.append(sq.TimeJet(rng.uniform(-2, 2, 3)))
+                    row.append(rng.uniform(-2, 2, 3))
                 else:
-                    row.append(sq.TimeJet.constant(rng.uniform(-2, 2)))
+                    row.append(rng.uniform(-2, 2))
             rows.append(row)
         frame = sq.QuadraticFrame(rows)
         text = sq.serialize_frame(frame)
@@ -227,16 +238,14 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def jets(draw):
-    """A constant or a poly(...) jet of degree up to 3."""
-    return sq.TimeJet(draw(st.lists(FLOATS, min_size=1, max_size=4)))
+# a constant or the coefficients of a poly(...) of degree up to 3
+COEFFS = st.lists(FLOATS, min_size=1, max_size=4)
 
 
 @st.composite
 def frames(draw):
     m = draw(st.integers(1, 4))
-    return sq.QuadraticFrame([[draw(jets()) for _ in range(m)] for _ in range(m)])
+    return sq.QuadraticFrame([[draw(COEFFS) for _ in range(m)] for _ in range(m)])
 
 
 EXPONENTS = st.one_of(
@@ -249,7 +258,7 @@ def systems(draw):
     """Systems with integer and exact rational exponents."""
     n = draw(st.integers(1, 4))
     monomials = st.dictionaries(st.integers(1, n), EXPONENTS, max_size=n)
-    terms = st.lists(st.tuples(jets(), monomials.map(sq.Monomial)), max_size=3)
+    terms = st.lists(st.tuples(COEFFS, monomials.map(sq.Monomial)), max_size=3)
     return sq.SigmaPiOde(n, [draw(terms) for _ in range(n)])
 
 

@@ -8,8 +8,8 @@ import spquad as sq
 from spquad.errors import Blowup, DomainViolation, EmptySystem
 from spquad.parse import monomial_text
 from support import (airy_first_order, airy_frame_expected, airy_series,
-                     five_monomial_ode, fixture_frame, random_frame,
-                     random_jet_frame, random_sigma_pi)
+                     entry, five_monomial_ode, fixture_frame, random_frame,
+                     random_jet_frame, random_sigma_pi, scalar_horner)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -20,8 +20,9 @@ def driver_rhs(q, t, x):
     z = sq.phi_eval(q, x)
     mult = {}
     for j in range(1, q.source.n + 1):
-        mult[j] = sum(jet(t) * z[q.flat_index(j, l) - 1]
-                      for l, (jet, _) in enumerate(q.source.terms(j), start=1))
+        mult[j] = sum(scalar_horner(coeff, t - q.source.center)
+                      * z[q.flat_index(j, l) - 1]
+                      for l, (coeff, _) in enumerate(q.source.terms(j), start=1))
     return np.array([
         sum(p * mult[j] for j, p in q.pi[i - 1][l - 1].items()) * z[s - 1]
         for s, (i, l) in enumerate(q.pairs, start=1)])
@@ -127,7 +128,7 @@ def test_linear_system_driver_rows():
             row_s = q.flat_index(i, l)
             for j in range(1, n + 1):
                 for s in range(1, n + 1):
-                    got = fr.jet(row_s, q.flat_index(j, s))(0.0)
+                    got = entry(fr, row_s, q.flat_index(j, s))[0]
                     expect = (1.0 if j == l else 0.0) * A[j - 1, s - 1] \
                         - (1.0 if j == i else 0.0) * A[j - 1, s - 1]
                     assert got == pytest.approx(expect, abs=1e-15)
@@ -200,9 +201,9 @@ def test_inclusive_affine_example():
     assert q.identity == {1: 3}
     fr = sq.driver_frame(q)
     # dZ11 = 0, dZ12 = (a Z11 + b Z12) Z12, dZ13 = (-a Z11 - b Z12) Z13
-    assert all(fr.jet(1, j).is_zero() for j in range(1, 4))
-    assert [fr.jet(2, j)(0.0) for j in range(1, 4)] == [a, b, 0.0]
-    assert [fr.jet(3, j)(0.0) for j in range(1, 4)] == [-a, -b, 0.0]
+    assert all(entry(fr, 1, j) == [0.0] for j in range(1, 4))
+    assert [entry(fr, 2, j) for j in range(1, 4)] == [[a], [b], [0.0]]
+    assert [entry(fr, 3, j) for j in range(1, 4)] == [[-a], [-b], [0.0]]
 
 
 def test_inclusive_idempotent_when_square_present():
@@ -220,15 +221,15 @@ def test_driver_frame_of_basic_linear_ode():
     q = sq.quadratize_inclusive(sq.SigmaPiOde(1, [[(a, {1: 1})]]))
     fr = sq.driver_frame(q)
     s_x, s_one = q.identity[1], q.flat_index(1, 1)
-    assert fr.jet(s_x, s_one)(0.0) == a
-    assert fr.jet(s_x, s_x).is_zero()
-    assert fr.jet(s_one, s_one).is_zero() and fr.jet(s_one, s_x).is_zero()
+    assert entry(fr, s_x, s_one) == [a]
+    assert entry(fr, s_x, s_x) == [0.0]
+    assert entry(fr, s_one, s_one) == entry(fr, s_one, s_x) == [0.0]
 
 
 def test_zero_coefficients_give_zero_frame():
     ode = sq.SigmaPiOde(2, [[(0.0, {1: 2})], [(0.0, {1: 1, 2: 1})]])
     fr = sq.driver_frame(sq.quadratize_canonical(ode))
-    assert all(fr.jet(i, j).is_zero()
+    assert all(entry(fr, i, j) == [0.0]
                for i in range(1, 3) for j in range(1, 3))
 
 
@@ -241,18 +242,19 @@ def test_airy_inclusive_frame_entries():
     fr = sq.driver_frame(q)
     # presentation order (x1, x2, Z11, Z21) = flat (2, 4, 1, 3)
     perm = [q.identity[1], q.identity[2], q.flat_index(1, 1), q.flat_index(2, 1)]
-    got = sq.QuadraticFrame([[fr.jet(i, j) for j in perm] for i in perm])
+    got = sq.QuadraticFrame([[entry(fr, i, j) for j in perm] for i in perm],
+                            fr.center)
     assert got == airy_frame_expected()
 
 
 def test_airy_frame_row3_against_reference_integration():
     """Only the frame with row 3 equal to (0, 0, -t, 1) reproduces the Airy
     solution; the (0, 1, -t, 0) variant leaves the invariant set."""
-    t = sq.TimeJet([0.0, 1.0])
+    t, mt = (0.0, 1.0), (0.0, -1.0)
     variant = sq.QuadraticFrame([
         [0.0, 0.0, t, 0.0],
         [0.0, 0.0, 0.0, 1.0],
-        [0.0, 1.0, -t, 0.0],
+        [0.0, 1.0, mt, 0.0],
         [0.0, 0.0, t, -1.0],
     ])
     corrected = airy_frame_expected()
@@ -285,8 +287,9 @@ def test_driver_of_driver_has_kronecker_exponents():
         fr2 = sq.driver_frame(q)
         for si, (i, l) in enumerate(q.pairs, start=1):
             for sj, (j, s) in enumerate(q.pairs, start=1):
-                expected = frame.jet(j, s) if j == l else sq.TimeJet.zero()
-                assert fr2.jet(si, sj) == expected
+                expected = entry(frame, j, s) if j == l else [0.0]
+                assert entry(fr2, si, sj) == expected
+        assert fr2.center == frame.center
 
 
 def test_inverse_driver_bernoulli_structure():
@@ -356,7 +359,7 @@ def test_add_fictitious_square_matches_inclusive_coordinate():
     augmented = sq.add_fictitious_monomial(ode, 1, sq.Monomial({1: 2}))
     q = sq.quadratize_canonical(augmented)
     assert monomial_text(q.phi[1]) == "x1"
-    assert augmented.terms(1)[1][0].is_zero()
+    assert augmented.terms(1)[1][0] == (0.0,)
 
 
 def test_constant_fictitious_monomial_gives_reciprocal_coordinate():
@@ -395,13 +398,14 @@ def _frames_to_evaluate():
 
 
 def test_evaluate_equals_entry_jets_bitwise():
-    """V(t) from the coefficient array is each entry's jet(t), bit for bit,
-    at times on both sides of the center."""
+    """V(t) from the coefficient array is each entry's Horner value at
+    t - center, bit for bit, at times on both sides of the center."""
     for frame in _frames_to_evaluate():
         for dt in (0.0, 1e-3, -1e-3, 0.3, -0.7, 2.5, -12.5):
             t = frame.center + dt
             index = range(1, frame.dim + 1)
-            want = np.array([[frame.jet(i, j)(t) for j in index] for i in index])
+            want = np.array([[scalar_horner(entry(frame, i, j), t - frame.center)
+                              for j in index] for i in index])
             got = frame.evaluate(t)
             assert got.shape == (frame.dim, frame.dim)
             assert got.tobytes() == want.reshape(got.shape).tobytes()
@@ -410,11 +414,11 @@ def test_evaluate_equals_entry_jets_bitwise():
 def test_stationary_form_reads_the_entries():
     for frame in _frames_to_evaluate():
         index = range(1, frame.dim + 1)
-        stationary = all(frame.jet(i, j).is_constant()
+        stationary = all(len(entry(frame, i, j)) == 1
                          for i in index for j in index)
         assert frame.is_stationary == stationary
         if stationary:
-            want = np.array([[frame.jet(i, j).coeffs[0] for j in index]
+            want = np.array([[entry(frame, i, j)[0] for j in index]
                              for i in index])
             assert frame.constant_matrix().tobytes() == want.reshape(
                 frame.dim, frame.dim).tobytes()
@@ -424,7 +428,7 @@ def test_stationary_form_reads_the_entries():
 
 
 def test_frame_coeffs_are_read_only():
-    frame = sq.QuadraticFrame([[sq.TimeJet([1.0, 2.0]), 0.5], [0.0, -1.0]])
+    frame = sq.QuadraticFrame([[(1.0, 2.0), 0.5], [0.0, -1.0]])
     assert frame.coeffs.shape == (2, 2, 2)
     assert frame.coeffs[:, 0, 0].tolist() == [1.0, 2.0]
     assert frame.coeffs[:, 0, 1].tolist() == [0.5, 0.0]

@@ -11,8 +11,8 @@ import spquad as sq
 from spquad.errors import Divergence, DomainExit, StepLimit, ZeroComponent
 from spquad.series import RadiusWarning, _horner, _tail_step
 from support import (airy_first_order, airy_frame_expected, airy_series,
-                     cauchy_exact, fixture_frame, ordered_string_ck,
-                     random_frame, random_jet_frame)
+                     cauchy_exact, entry, fixture_frame, ordered_string_ck,
+                     random_frame, random_jet_frame, scalar_horner)
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -23,7 +23,7 @@ def exp_frame(a=1.0):
 
 
 def t_jet(scale=1.0):
-    return sq.TimeJet([0.0, scale])
+    return (0.0, scale)
 
 
 # --------------------------------------------------------------------------
@@ -46,12 +46,12 @@ def test_support_examples():
 
 
 def _support_per_entry(frame):
-    """Reference: columns with a nonzero jet, then the support rows whose
-    jet in that column is nonzero."""
+    """Reference: columns with a nonzero entry, then the support rows whose
+    entry in that column is nonzero."""
     m = frame.dim
     cols = tuple(j for j in range(1, m + 1)
-                 if any(not frame.jet(i, j).is_zero() for i in range(1, m + 1)))
-    return cols, {j: tuple(l for l in cols if not frame.jet(l, j).is_zero())
+                 if any(any(entry(frame, i, j)) for i in range(1, m + 1)))
+    return cols, {j: tuple(l for l in cols if any(entry(frame, l, j)))
                   for j in cols}
 
 
@@ -60,7 +60,8 @@ def _bound_per_entry(frame, x0, t0):
     sigma = len(_support_per_entry(frame)[0])
     if sigma == 0:
         return float("inf")
-    v_M = max(abs(frame.jet(i, j)(t0)) for i in range(1, frame.dim + 1)
+    v_M = max(abs(scalar_horner(entry(frame, i, j), t0 - frame.center))
+              for i in range(1, frame.dim + 1)
               for j in range(1, frame.dim + 1))
     if v_M == 0.0:
         return float("inf")
@@ -177,7 +178,7 @@ def test_general_equals_stationary_on_constant_frames():
         frame = random_frame(rng)
         if n % 2:
             frame = sq.QuadraticFrame(
-                [[sq.TimeJet([v, rng.uniform(-0.5, 0.5)])
+                [[(v, rng.uniform(-0.5, 0.5))
                   for v in row] for row in frame.coeffs[0]])
         x0 = rng.uniform(0.2, 1.0, frame.dim)
         a = sq.taylor(frame, x0, 0.3, 8)
@@ -188,13 +189,12 @@ def test_general_equals_stationary_on_constant_frames():
 
 @pytest.mark.parametrize("jet_first", [True, False])
 def test_frame_center_comes_from_its_jets(jet_first):
-    """Constant entries take on the center of the frame's jets, whichever
-    entry comes first, so the layered recursion can combine them."""
-    jet = sq.TimeJet([1.0, 0.5], center=0.25)
+    """Constant entries share the frame's one center, whichever entry
+    comes first, so the layered recursion can combine them."""
+    jet = (1.0, 0.5)
     row = [jet, 0.3] if jet_first else [0.3, jet]
-    frame = sq.QuadraticFrame([row, [0.2, 0.1]])
+    frame = sq.QuadraticFrame([row, [0.2, 0.1]], center=0.25)
     assert frame.center == 0.25
-    assert all(frame.jet(i, j).center == 0.25 for i in (1, 2) for j in (1, 2))
     a = sq.taylor(frame, [1.0, 0.7], 0.1, 8)
     b = _contracted(sq.coefficient_tensors(frame, 8), [1.0, 0.7], 0.1, 8)
     scale = np.maximum(np.abs(b), 1.0)
@@ -202,27 +202,22 @@ def test_frame_center_comes_from_its_jets(jet_first):
 
 
 def test_a_frame_takes_the_one_center_of_its_jets():
-    """Rows and driver frames take the center their non-constant jets
-    share, else that of entry (1, 1); jets at two centers raise.  The refs
-    pin each frame's coefficients and center."""
-    def at(c):
-        return sq.TimeJet([1.0, 0.5], center=c)
+    """Rows take the center they are given, and driver frames the center
+    of their system, constant ones included.  The refs pin each frame's
+    coefficients and center."""
+    jet = (1.0, 0.5)
 
-    def system(c1, c2):
-        return sq.SigmaPiOde(2, [[(c1, {1: 2, 2: 1})], [(c2, {1: 1, 2: 1})]])
+    def system(c1, c2, center):
+        return sq.SigmaPiOde(2, [[(c1, {1: 2, 2: 1})], [(c2, {1: 1, 2: 1})]],
+                             center)
 
-    const = sq.TimeJet([2.0], center=0.7)
-    with pytest.raises(ValueError, match="frame entries must share one center"):
-        sq.QuadraticFrame([[at(0.25), at(0.5)], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="frame entries must share one center"):
-        sq.driver_frame(sq.quadratize_inclusive(system(at(0.3), at(0.6))))
     frames = [
-        sq.QuadraticFrame([[const, 0.5], [0.0, 1.0]]),
-        sq.QuadraticFrame([[const, at(0.25)], [0.0, 1.0]]),
-        sq.driver_frame(sq.quadratize_inclusive(system(at(0.3), 0.5))),
+        sq.QuadraticFrame([[2.0, 0.5], [0.0, 1.0]], center=0.7),
+        sq.QuadraticFrame([[2.0, jet], [0.0, 1.0]], center=0.25),
+        sq.driver_frame(sq.quadratize_inclusive(system(jet, 0.5, 0.3))),
         sq.driver_frame(sq.quadratize_canonical(
-            sq.SigmaPiOde(1, [[(const, {1: 2})]]))),
-        sq.inverse_joint_frame(sq.inverse_driver(system(at(0.3), 0.5))),
+            sq.SigmaPiOde(1, [[(2.0, {1: 2})]], center=0.7))),
+        sq.inverse_joint_frame(sq.inverse_driver(system(jet, 0.5, 0.3))),
     ]
     assert [(f.center, f.ref()) for f in frames] == [
         (0.7, "4b5d4fa601a2"), (0.25, "7488af772710"), (0.3, "a19c774caf81"),
@@ -305,11 +300,11 @@ def test_tensor_layers_keep_their_key_sets():
     assert got == TENSOR_KEYS
 
 
-# frame.ref() and the SHA-1 prefix of serialize_frame per frame: a fixture
-# name alone is its inclusive driver frame (or its parsed .frame),
-# ":canonical" and ":inverse" name the other two quadratizations, "api:"
-# frames are built from rows.  Rebuilding constant entries at the frame
-# center must leave center-0 frames as they are.
+# frame.ref() and the SHA-1 prefix of serialize_frame per frame (None for a
+# center the text format cannot write): a fixture name alone is its
+# inclusive driver frame (or its parsed .frame), ":canonical" and
+# ":inverse" name the other two quadratizations, "api:" frames are built
+# from rows.
 FIXTURE_FRAMES = {
     "affine.spode": ("885736692422", "75ae9063503e"),
     "affine.spode:canonical": ("369e36baba29", "657d11838ebb"),
@@ -317,7 +312,7 @@ FIXTURE_FRAMES = {
     "airy_first_order.spode": ("8d884bb006b6", "0a315bec7060"),
     "airy_first_order.spode:canonical": ("c4699281a0b0", "a91f98282cc4"),
     "airy_first_order.spode:inverse": ("5bde06beacd7", "3783e66cce57"),
-    "api:jet-at-0.25": ("de79a06bd6bd", "c29c96e41709"),
+    "api:jet-at-0.25": ("de79a06bd6bd", None),   # no text: center 0.25
     "api:negative-zero": ("1f01febf7fab", "3e130d37619b"),
     "api:poly-lengths": ("b059e6772e2a", "82e3b09debca"),
     "bernoulli.spode": ("3220fdd42f7d", "57d7762243eb"),
@@ -338,12 +333,11 @@ FIXTURE_FRAMES = {
 
 API_FRAMES = {
     "api:jet-at-0.25": lambda: sq.QuadraticFrame(
-        [[sq.TimeJet([1.0, 0.5], center=0.25), 0.3], [0.2, 0.1]]),
+        [[(1.0, 0.5), 0.3], [0.2, 0.1]], center=0.25),
     "api:negative-zero": lambda: sq.QuadraticFrame(
         [[-0.0, 1.5], [0.0, -2.0]]),
     "api:poly-lengths": lambda: sq.QuadraticFrame(
-        [[sq.TimeJet([1.0, 2.0, 0.0]), sq.TimeJet([0.5])],
-         [sq.TimeJet([0.0, -1.0, 0.25, 0.0]), 0.0]]),
+        [[(1.0, 2.0, 0.0), (0.5,)], [(0.0, -1.0, 0.25, 0.0), 0.0]]),
 }
 
 
@@ -365,31 +359,14 @@ def _pinned_frame(name):
 @pytest.mark.parametrize("name", sorted(FIXTURE_FRAMES))
 def test_fixture_frames_keep_their_text_and_ref(name):
     frame = _pinned_frame(name)
-    digest = hashlib.sha1(sq.serialize_frame(frame).encode()).hexdigest()[:12]
-    assert (frame.ref(), digest) == FIXTURE_FRAMES[name]
-
-
-def test_no_frame_builds_a_jet_per_entry(monkeypatch):
-    """Frames are parsed, built, named, written and expanded on their
-    coefficient arrays: none of these constructs a TimeJet."""
-    rng = np.random.default_rng(40)
-    text = "".join(" ".join(map(repr, row)) + "\n"
-                   for row in rng.uniform(-1.0, 1.0, (40, 40)).tolist())
-    q = sq.quadratize_inclusive(sq.parse_ode((DATA / "exdom.spode").read_text()))
-    starts = [rng.uniform(0.5, 1.5, 40), sq.phi_eval(q, [0.5, 0.7, 0.9])]
-    calls = []
-    init = sq.TimeJet.__init__
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(sq.TimeJet, "__init__", counted)
-    for frame, x0 in zip([sq.parse_frame(text), sq.driver_frame(q)], starts):
-        frame.ref()
-        sq.serialize_frame(frame)
-        sq.taylor(frame, x0, 0.0, 16)
-    assert len(calls) == 0
+    ref, digest = FIXTURE_FRAMES[name]
+    assert frame.ref() == ref
+    if digest is None:      # the text format has no center to write
+        with pytest.raises(ValueError, match="center 0.25"):
+            sq.serialize_frame(frame)
+        return
+    text = sq.serialize_frame(frame)
+    assert hashlib.sha1(text.encode()).hexdigest()[:12] == digest
 
 
 def _alternating_frame():
@@ -406,9 +383,9 @@ def _linear_jet_frame():
     """Alternating-sign linear jets, expanded away from their center."""
     c = 0.25
     frame = sq.QuadraticFrame([
-        [sq.TimeJet([0.75, -0.3], center=c), sq.TimeJet([-0.625, 0.1], center=c)],
-        [sq.TimeJet([0.875, 0.2], center=c), sq.TimeJet([-0.5, -0.15], center=c)],
-    ])
+        [(0.75, -0.3), (-0.625, 0.1)],
+        [(0.875, 0.2), (-0.5, -0.15)],
+    ], center=c)
     return frame, [1.0, 0.75], 1.0
 
 
@@ -436,8 +413,9 @@ def frames_starts_orders(draw):
     """A constant or poly(...) frame of dim 1-4 (jets of degree up to 3),
     a start with no zero component and an order K <= 12."""
     m = draw(st.integers(1, 4))
-    jet = st.lists(ENTRIES, min_size=1, max_size=4).map(sq.TimeJet)
-    frame = sq.QuadraticFrame([[draw(jet) for _ in range(m)] for _ in range(m)])
+    coeffs = st.lists(ENTRIES, min_size=1, max_size=4)
+    frame = sq.QuadraticFrame([[draw(coeffs) for _ in range(m)]
+                               for _ in range(m)])
     return frame, [draw(STARTS) for _ in range(m)], draw(st.integers(0, 12))
 
 
@@ -453,9 +431,7 @@ def test_coefficients_match_exact_recursion_on_generated_frames(case):
     sol = sq.taylor(frame, x0, 0.0, K)
     exact = cauchy_exact(frame, x0, 0.0, K)
     majorant = cauchy_exact(
-        sq.QuadraticFrame([[sq.TimeJet(np.abs(frame.jet(i, j).coeffs))
-                            for j in range(1, frame.dim + 1)]
-                           for i in range(1, frame.dim + 1)]),
+        sq.QuadraticFrame(np.abs(frame.coeffs).transpose(1, 2, 0).tolist()),
         np.abs(x0), 0.0, K)
     for k in range(K + 1):
         err = np.max(np.abs(sol.coeffs[:, k] - [float(v) for v in exact[k]]))
@@ -533,10 +509,11 @@ def test_airy_layer_jet_matches_hand_value():
     layer = tensors[root].layers[(3, 3)]
     key = sq.IndexMultiset(root, ((q.flat_index(1, 1), 1),
                                   (q.flat_index(2, 1), 1)))
-    assert layer[key] == sq.TimeJet([0.0, 1.0])
+    assert layer[key].tolist() == [0.0, 1.0]
+    assert tensors[root].center == frame.center == 0.0
     # and its derivative feeds c_3 = x2 at the center (layer (4,3))
     layer43 = tensors[root].layers[(4, 3)]
-    assert layer43[key] == sq.TimeJet([1.0])
+    assert layer43[key].tolist() == [1.0]
 
 
 def test_strings_with_tail_outside_support_have_zero_coefficient():
@@ -571,7 +548,7 @@ def test_derivative_link_against_reference_flow():
     h, delta = 1e-5, 0.02
     for _ in range(4):
         m = int(rng.integers(1, 4))
-        entries = [[sq.TimeJet([rng.uniform(-1, 1), rng.uniform(-1, 1)])
+        entries = [[(rng.uniform(-1, 1), rng.uniform(-1, 1))
                     for _ in range(m)] for _ in range(m)]
         frame = sq.QuadraticFrame(entries)
         x0 = rng.uniform(0.4, 1.0, m)
@@ -605,7 +582,7 @@ def test_general_engine_matches_oracle_on_quadratic_jets():
     rng = np.random.default_rng(151)
     for _ in range(3):
         m = int(rng.integers(1, 3))
-        entries = [[sq.TimeJet(rng.uniform(-0.6, 0.6, 3)) for _ in range(m)]
+        entries = [[rng.uniform(-0.6, 0.6, 3) for _ in range(m)]
                    for _ in range(m)]
         frame = sq.QuadraticFrame(entries)
         x0 = rng.uniform(0.4, 1.0, m)
@@ -769,6 +746,8 @@ _SCALAR_ARRAY_CASES = [
      [1e5, -1e5, 0.5]),
     (sq.QuadraticFrame([[0.0, t_jet(2.0)], [0.0, 0.0]]), [1.0, 1.0], 0.25, 30,
      None, [0.0, -0.3, 0.6, 0.25]),
+    (sq.QuadraticFrame([[0.0, 0.0], [0.0, 3e-11]]), [1.0, 1.0], 0.0, 30,
+     None, [3.3e10, -3.3e10, 1.65e10]),
 ]
 
 
@@ -790,6 +769,8 @@ def test_evaluate_on_array_equals_scalar_calls_bitwise():
                 for got, want in ((scalar_vals, v), (scalar_err, e),
                                   (horner_vals, v), (horner_err, e)):
                     assert np.array(got).tobytes() == want.tobytes()
+        # a zero a_K estimates 0.0, also where |t - t0|^K is inf
+        assert np.all(err[..., np.array(rows)[:, K] == 0.0] == 0.0)
         assert sq.evaluate(sol, np.array([]))[0].shape == (0, n)
 
 
@@ -821,6 +802,18 @@ def test_continuation_through_several_recenters():
                                  K=30)
     assert value[0] == pytest.approx(-0.4, abs=1e-8)
     assert len(path) >= 2
+
+
+def test_a_constant_component_does_not_hide_an_overflowing_estimate():
+    """x1 stays 1 and x2' = 3e-11 x2^2 from 1 reaches 1 / (1 - 0.99) = 100
+    at t = 3.3e10.  The first step's |u|^K is inf, so x2's estimate is inf
+    and x1's, with a_K = 0, is 0.0 (not NaN): the step is halved, and the
+    path recenters on its way to the pole-near target."""
+    frame = sq.QuadraticFrame([[0.0, 0.0], [0.0, 3e-11]])
+    value, path = sq.continue_to(frame, [1.0, 1.0], 0.0, 3.3e10, theta=1.0)
+    assert value[0] == 1.0
+    assert value[1] == pytest.approx(100.0, rel=1e-7)
+    assert len(path) > 1
 
 
 def test_continuation_to_center_is_identity():

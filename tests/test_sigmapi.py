@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +8,7 @@ import spquad as sq
 from spquad import DomainClass
 from spquad.errors import DomainViolation, InvalidProjection
 from support import (exdom_ode, exdom_variant, random_sigma_pi,
-                     singular_part_expected)
+                     scalar_horner, singular_part_expected)
 
 
 # --------------------------------------------------------------------------
@@ -203,29 +204,44 @@ def test_negative_base_odd_denominator_is_defined():
     assert m2.evaluate([-8.0]) == pytest.approx(4.0)
 
 
+def test_coefficients_are_tuples_trimmed_with_zero_signs_folded():
+    """A number or sequence becomes a tuple of floats without trailing
+    zeros, -0.0 stored as 0.0; at the center a polynomial reads c0."""
+    ode = sq.SigmaPiOde(1, [[((3.0, 2.0, -1.0, 0.0), {1: 1}), (-0.0, {}),
+                             (np.array([0.0, -0.0]), {1: 2}), ([], {1: 3})]],
+                        center=1.5)
+    coeffs = [coeff for coeff, _ in ode.terms(1)]
+    assert coeffs == [(3.0, 2.0, -1.0), (0.0,), (0.0,), (0.0,)]
+    assert all(type(c) is float for coeff in coeffs for c in coeff)
+    assert [math.copysign(1.0, coeff[0]) for coeff in coeffs[1:]] == [1.0] * 3
+    assert ode.rhs(1.5, [1.0]).tolist() == [3.0]
+    assert ode.rhs(2.5, [1.0]).tolist() == [3.0 + 2.0 - 1.0]
+
+
 def test_rhs_evaluation():
-    ode = sq.SigmaPiOde(2, [[(2.0, {2: 1})], [(sq.TimeJet([0.0, 1.0]), {1: 2})]])
+    ode = sq.SigmaPiOde(2, [[(2.0, {2: 1})], [((0.0, 1.0), {1: 2})]])
     assert ode.rhs(3.0, [1.5, 2.0]) == pytest.approx([4.0, 3.0 * 2.25])
 
 
 def _per_term_rhs(ode, t, x):
-    """Reference: per equation, the sum of jet(t) * mono.evaluate(x)."""
+    """Reference: per equation, the sum of the coefficient's value at t
+    times mono.evaluate(x)."""
     out = []
     for eq in ode.equations:
         acc = 0.0
-        for jet, mono in eq:
-            acc += jet(t) * mono.evaluate(x)
+        for coeff, mono in eq:
+            acc += scalar_horner(coeff, t - ode.center) * mono.evaluate(x)
         out.append(acc)
     return np.array(out)
 
 
 def test_rhs_equals_per_term_sum_bitwise():
     ode = sq.SigmaPiOde(3, [
-        [(sq.TimeJet([0.5, -1.0, 0.25], center=0.3), {1: F(1, 3), 2: 2}),
+        [((0.5, -1.0, 0.25), {1: F(1, 3), 2: 2}),
          (2.0, {1: F(-2, 5)}), (-0.75, {})],
-        [(sq.TimeJet([0.0, 2.0]), {2: F(1, 2), 3: -1}), (1.5, {1: 1.7})],
+        [((0.6, 2.0), {2: F(1, 2), 3: -1}), (1.5, {1: 1.7})],
         [],
-    ])
+    ], center=0.3)
     rng = np.random.default_rng(2024)
     raised = computed = 0
     for _ in range(400):
